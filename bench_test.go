@@ -1,14 +1,12 @@
-// Benchmarks regenerating the paper's evaluation. One benchmark family per
-// figure/claim (DESIGN.md §4):
+// Benchmarks for the paper's append and MVCC claims (docs/ARCHITECTURE.md
+// maps the layers they cross):
 //
-//	BenchmarkFigure2_* — SQL operators, Indexed DataFrame vs vanilla
-//	BenchmarkFigure3_* — SNB simple reads SQ1–SQ7 on both engines
-//	BenchmarkMemoryOverhead — §2 memory-overhead claim
 //	BenchmarkAppend* — §2 fine-grained vs batched appends
 //	BenchmarkSnapshotQueriesUnderAppends — §2 MVCC claim
 //
-// Run `go test -bench=. -benchmem` or `go run ./cmd/benchrunner` for the
-// paper-style tables.
+// Figures 2 and 3 and the memory overhead are measured end to end by
+// `bash benchmark/run.sh` (benchmark/README.md); the engine ablations are
+// BenchmarkAblation in bench_ablation_test.go.
 package indexeddf_test
 
 import (
@@ -17,93 +15,11 @@ import (
 	"testing"
 
 	"indexeddf"
-	"indexeddf/internal/bench"
 	"indexeddf/internal/snb"
 )
 
-var (
-	fig2Once sync.Once
-	fig2Env  *bench.Env
-	fig3Once sync.Once
-	fig3Env  *bench.Env
-)
-
-// benchSF keeps `go test -bench` runs fast; cmd/benchrunner scales up.
+// benchSF keeps `go test -bench` runs fast.
 const benchSF = 0.5
-
-func figure2Env(b *testing.B) *bench.Env {
-	b.Helper()
-	fig2Once.Do(func() {
-		// Cluster regime: base tables too large to broadcast (threshold 1),
-		// so vanilla joins shuffle both sides while the indexed join only
-		// shuffles the probe side — the paper's Figure 2 setting.
-		e, err := bench.NewEnv(bench.EnvConfig{ScaleFactor: benchSF, Seed: 1, BroadcastThreshold: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		fig2Env = e
-	})
-	return fig2Env
-}
-
-func figure3Env(b *testing.B) *bench.Env {
-	b.Helper()
-	fig3Once.Do(func() {
-		e, err := bench.NewEnv(bench.EnvConfig{ScaleFactor: benchSF, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		fig3Env = e
-	})
-	return fig3Env
-}
-
-func runOp(b *testing.B, op bench.Op, g *snb.Graph) {
-	b.Helper()
-	if _, err := op.Run(g); err != nil { // warm-up + error check
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := op.Run(g); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure2 regenerates Figure 2: each operator on both engines.
-func BenchmarkFigure2(b *testing.B) {
-	e := figure2Env(b)
-	for _, op := range bench.Figure2Ops(e) {
-		op := op
-		b.Run(op.Name+"/IndexedDF", func(b *testing.B) { runOp(b, op, e.Indexed) })
-		b.Run(op.Name+"/Spark", func(b *testing.B) { runOp(b, op, e.Vanilla) })
-	}
-}
-
-// BenchmarkFigure3 regenerates Figure 3: SQ1–SQ7 on both engines.
-func BenchmarkFigure3(b *testing.B) {
-	e := figure3Env(b)
-	for _, op := range bench.Figure3Ops(e) {
-		op := op
-		b.Run(op.Name+"/IndexedDF", func(b *testing.B) { runOp(b, op, e.Indexed) })
-		b.Run(op.Name+"/Spark", func(b *testing.B) { runOp(b, op, e.Vanilla) })
-	}
-}
-
-// BenchmarkMemoryOverhead reports the §2 claim as custom metrics: bytes of
-// the indexed representation vs the columnar cache for the same data.
-func BenchmarkMemoryOverhead(b *testing.B) {
-	e := figure3Env(b)
-	r := bench.Memory(e)
-	b.ReportMetric(float64(r.ColumnarBytes), "columnar-bytes")
-	b.ReportMetric(float64(r.DataBytes), "rowdata-bytes")
-	b.ReportMetric(float64(r.IndexBytes), "index-bytes")
-	b.ReportMetric(r.OverheadPerCopy, "overhead-ratio")
-	for i := 0; i < b.N; i++ {
-		_ = bench.Memory(e)
-	}
-}
 
 func appendTable(b *testing.B) *indexeddf.DataFrame {
 	b.Helper()

@@ -376,9 +376,7 @@ func (df *DataFrame) Explain() (string, error) {
 // and returns the physical plan annotated with the actuals recorded during
 // that execution — rows, batches, predicate selectivity, wall time and
 // memory per operator, plus a query-level summary (tasks, shuffle bytes,
-// peak memory). It works even when the session was built with
-// Config.DisableObservability: EXPLAIN ANALYZE is explicit opt-in
-// instrumentation. The result rows are drained and discarded.
+// peak memory). The result rows are drained and discarded.
 func (df *DataFrame) ExplainAnalyze(ctx context.Context) (string, error) {
 	t0 := time.Now()
 	exec, err := df.sess.compile(df.node)
@@ -386,7 +384,7 @@ func (df *DataFrame) ExplainAnalyze(ctx context.Context) (string, error) {
 		return "", err
 	}
 	rows, err := df.sess.queryExecMeta(ctx, exec, queryMeta{
-		planNs: time.Since(t0).Nanoseconds(), force: true})
+		planNs: time.Since(t0).Nanoseconds(), fullLimit: true})
 	if err != nil {
 		return "", err
 	}

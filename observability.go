@@ -10,9 +10,8 @@ import (
 
 // Execution observability: every session owns a metrics registry
 // (Prometheus-text exportable through Metrics().WriteTo), a bounded ring of
-// query-lifecycle trace events, and — unless Config.DisableObservability —
-// per-query, per-operator runtime stats feeding EXPLAIN ANALYZE and the
-// slow-query log.
+// query-lifecycle trace events, and per-query, per-operator runtime stats
+// feeding EXPLAIN ANALYZE and the slow-query log.
 
 // SlowQuery describes one finished query whose wall time met or exceeded
 // Config.SlowQueryThreshold, handed to Config.SlowQueryLog.
@@ -45,8 +44,7 @@ func FormatBytes(n int64) string { return obs.FormatBytes(n) }
 func (s *Session) Metrics() *obs.Registry { return s.metrics }
 
 // TraceEvents returns the session's retained query-lifecycle trace events,
-// oldest first. The ring holds Config.TraceCapacity events; nil when
-// observability is disabled.
+// oldest first. The ring holds Config.TraceCapacity events.
 func (s *Session) TraceEvents() []obs.Event { return s.tracer.Events() }
 
 // TraceEventsFor returns the retained trace events of one query id.
@@ -57,13 +55,11 @@ func (s *Session) TraceEventsFor(queryID string) []obs.Event {
 // initObservability builds the registry and wires the engine-global gauges
 // and counter views. Called once from NewSession.
 func (s *Session) initObservability() {
-	if !s.cfg.DisableObservability {
-		capacity := s.cfg.TraceCapacity
-		if capacity <= 0 {
-			capacity = obs.DefaultTraceCapacity
-		}
-		s.tracer = obs.NewTracer(capacity)
+	capacity := s.cfg.TraceCapacity
+	if capacity <= 0 {
+		capacity = obs.DefaultTraceCapacity
 	}
+	s.tracer = obs.NewTracer(capacity)
 	m := obs.NewRegistry()
 	s.metrics = m
 
@@ -181,9 +177,9 @@ type queryMeta struct {
 	parseNs  int64
 	planNs   int64
 	cacheHit bool
-	// force creates QueryStats even under Config.DisableObservability —
-	// EXPLAIN ANALYZE is explicit opt-in instrumentation.
-	force bool
+	// fullLimit runs a root LIMIT as the full global-limit plan instead of
+	// truncating at the cursor; EXPLAIN ANALYZE sets it.
+	fullLimit bool
 }
 
 // finishQuery settles a finished cursor's accounting: registry counters,
@@ -198,9 +194,6 @@ func (s *Session) finishQuery(r *Rows) {
 	s.qRows.Add(r.delivered)
 	s.qDur.Observe(dur.Seconds())
 	qs := r.qs
-	if qs == nil {
-		return
-	}
 	qs.SetMemPeak(r.mem.Peak())
 	qs.AddRowsReturned(r.delivered)
 	qs.Finish()

@@ -207,43 +207,6 @@ func TestObservabilityConcurrentQueryIsolation(t *testing.T) {
 	}
 }
 
-// TestObservabilityDisabled: with Config.DisableObservability the query
-// path records nothing — but EXPLAIN ANALYZE still opts in explicitly.
-func TestObservabilityDisabled(t *testing.T) {
-	s := newObsSession(t, Config{TablePartitions: 4, DisableObservability: true}, 10_000)
-	rows, err := s.Query(context.Background(), "SELECT val, COUNT(*) FROM t GROUP BY val")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rows.Next() {
-	}
-	if err := rows.Err(); err != nil {
-		t.Fatal(err)
-	}
-	rows.Close()
-	if rows.Stats() != nil {
-		t.Fatal("Stats() non-nil with observability disabled")
-	}
-	if out := rows.AnalyzeString(); out != "" {
-		t.Fatalf("AnalyzeString() = %q, want empty", out)
-	}
-	if evs := s.TraceEvents(); evs != nil {
-		t.Fatalf("TraceEvents() = %d events, want none", len(evs))
-	}
-	// Registry counters still move (they are session-global and free).
-	if v, _ := s.Metrics().Value("indexeddf_queries_finished_total"); v < 1 {
-		t.Fatalf("queries_finished_total = %v", v)
-	}
-	// EXPLAIN ANALYZE force-enables instrumentation for its one execution.
-	out, err := s.MustSQL("SELECT COUNT(*) FROM t").ExplainAnalyze(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "actual rows=") {
-		t.Fatalf("EXPLAIN ANALYZE under DisableObservability carries no actuals:\n%s", out)
-	}
-}
-
 // TestTraceRingBounded: the trace ring retains at most TraceCapacity
 // events, reports drops, still answers per-query lookups for recent
 // queries, and owns no goroutines.

@@ -47,9 +47,8 @@ type Rows struct {
 	// launched anyway.
 	remaining int64
 
-	// Observability: qs is nil when Config.DisableObservability is set
-	// (every recording below then vanishes); sess/ec/exec let shutdown
-	// settle registry counters and render the annotated plan.
+	// Observability: qs records this query's stats; sess/ec/exec let
+	// shutdown settle registry counters and render the annotated plan.
 	sess      *Session
 	qs        *obs.QueryStats
 	ec        *physical.ExecContext
@@ -96,19 +95,14 @@ func (r *Rows) Next() bool {
 }
 
 // Stats returns the query's recorded runtime stats — per-operator actuals,
-// task counts, shuffle bytes, memory peak. Nil when the session was built
-// with Config.DisableObservability. Totals settle when the cursor closes;
-// reading mid-stream sees live (partial) counts.
+// task counts, shuffle bytes, memory peak. Totals settle when the cursor
+// closes; reading mid-stream sees live (partial) counts.
 func (r *Rows) Stats() *obs.QueryStats { return r.qs }
 
 // AnalyzeString renders the physical plan annotated with this execution's
 // actuals (EXPLAIN ANALYZE's body) plus a query-level summary footer.
-// Meaningful after the cursor is drained or closed; "" when observability
-// is disabled.
+// Meaningful after the cursor is drained or closed.
 func (r *Rows) AnalyzeString() string {
-	if r.qs == nil {
-		return ""
-	}
 	return r.analyzePlan() + r.qs.String()
 }
 
@@ -295,16 +289,13 @@ func (s *Session) queryExecMeta(ctx context.Context, exec physical.Exec, meta qu
 	// the stats object (which also labels the query's pprof samples).
 	queryID := s.mem.NextQueryID()
 	s.qStarted.Inc()
-	var qs *obs.QueryStats
-	if !s.cfg.DisableObservability || meta.force {
-		qs = obs.NewQueryStats(queryID, meta.sql, s.tracer)
-		qs.ParseNs, qs.PlanNs, qs.CacheHit = meta.parseNs, meta.planNs, meta.cacheHit
-		ctx = obs.WithQuery(ctx, qs)
-		if meta.cacheHit {
-			qs.Event("plan cache hit", -1, 0)
-		} else {
-			qs.Event("plan", -1, time.Duration(meta.parseNs+meta.planNs))
-		}
+	qs := obs.NewQueryStats(queryID, meta.sql, s.tracer)
+	qs.ParseNs, qs.PlanNs, qs.CacheHit = meta.parseNs, meta.planNs, meta.cacheHit
+	ctx = obs.WithQuery(ctx, qs)
+	if meta.cacheHit {
+		qs.Event("plan cache hit", -1, 0)
+	} else {
+		qs.Event("plan", -1, time.Duration(meta.parseNs+meta.planNs))
 	}
 	// Memory budget: refuse admission while the engine pool is saturated,
 	// then give the query its own tracker — every operator that buffers
@@ -344,11 +335,11 @@ func (s *Session) queryExecMeta(ctx context.Context, exec physical.Exec, meta qu
 		err   error
 		limit int64 = -1
 	)
-	if lim, ok := exec.(*physical.LimitExec); ok && !meta.force {
+	if lim, ok := exec.(*physical.LimitExec); ok && !meta.fullLimit {
 		// A root LIMIT streams its local-limit stage and truncates at the
 		// cursor, early-terminating the remaining partition tasks once n
 		// rows are delivered instead of gathering every partition first.
-		// EXPLAIN ANALYZE (meta.force) takes the full global-limit plan
+		// EXPLAIN ANALYZE (meta.fullLimit) takes the full global-limit plan
 		// instead: truncating at the cursor abandons operator iterators
 		// mid-stream, losing their buffered counts.
 		limit = lim.N

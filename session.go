@@ -89,13 +89,6 @@ type Config struct {
 	// engages for queries that carry a memory budget (MemoryLimit or
 	// QueryMemoryLimit set); unbudgeted sessions never touch the disk.
 	SpillDir string
-	// DisableObservability turns off per-query instrumentation: no operator
-	// stats, no trace events, no EXPLAIN ANALYZE annotations (the statement
-	// still runs, producing a plan without actuals). The metrics registry
-	// stays available — engine-global counters (tasks, shuffle bytes, plan
-	// cache) cost nothing extra. When disabled, operators receive nil stat
-	// handles and their recording paths collapse to the untouched iterators.
-	DisableObservability bool
 	// TraceCapacity bounds the session's query-trace ring buffer in events
 	// (default obs.DefaultTraceCapacity). Oldest events are overwritten.
 	TraceCapacity int
@@ -147,9 +140,8 @@ type Session struct {
 	mem   *memory.Pool
 	spill *spill.Manager
 
-	// Observability: the metrics registry is always present (engine-global
-	// counters are free); the tracer and per-query stats are nil when
-	// Config.DisableObservability is set.
+	// Observability: the metrics registry (engine-global counters) and the
+	// trace ring every query's stats record into.
 	metrics  *obs.Registry
 	tracer   *obs.Tracer
 	qStarted *obs.Counter
