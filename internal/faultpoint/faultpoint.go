@@ -44,8 +44,9 @@ const (
 	// SpillRead fires when a spilled run is opened and before each batch
 	// is decoded from it.
 	SpillRead Point = "spill.read"
-	// SpillPartition fires when an out-of-core operator fans its state out
-	// into spill partitions (agg table flush, grace-join repartition).
+	// SpillPartition fires when an out-of-core operator opens a fan-out
+	// level: the first group-table flush or grace-join repartition, and
+	// each deeper re-fan of a partition still over budget.
 	SpillPartition Point = "spill.partition"
 )
 

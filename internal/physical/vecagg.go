@@ -6,11 +6,9 @@ import (
 
 	"indexeddf/internal/columnar"
 	"indexeddf/internal/expr"
-	"indexeddf/internal/faultpoint"
 	"indexeddf/internal/memory"
 	"indexeddf/internal/obs"
 	"indexeddf/internal/rdd"
-	"indexeddf/internal/spill"
 	"indexeddf/internal/sqltypes"
 	"indexeddf/internal/vector"
 )
@@ -303,25 +301,25 @@ func (h *VecHashAggExec) mergeFinal(tc *rdd.TaskContext, in vector.BatchIter, in
 // aggSpiller externalizes the hash aggregate. The operator folds input
 // normally until the group table's reservation is refused; the spiller
 // then renders the whole table in the mergeable partial representation,
-// hash-partitions the rows by group key into spillFanout spilled runs
-// (salt 1), releases the table's charge, and folding restarts with a
+// hash-partitions the rows by group key into the level-1 fan (see
+// fanDriver), releases the table's charge, and folding restarts with a
 // fresh generation. Fold-then-flush preserves pre-aggregation: a hot
 // key's millions of input rows leave as one accumulator row per
 // generation, so skew costs flush rounds, not bytes. At end of input the
-// fan-out partitions are re-aggregated one at a time — each holds every
-// accumulator row of its key subset, so partitions merge independently —
-// and a partition that still overflows re-fans with the next level's
-// salt, recursively, until it fits (or maxSpillDepth says the budget is
+// driver re-aggregates the fan-out partitions one at a time — each holds
+// every accumulator row of its key subset, so partitions merge
+// independently — and a partition that still overflows re-fans at the
+// next level, until it fits (or maxSpillDepth says the budget is
 // hopeless).
 type aggSpiller struct {
 	h        *VecHashAggExec
 	tc       *rdd.TaskContext
 	st       *obs.OpStats
 	schema   *sqltypes.Schema // partial (mergeable) spill-row schema
-	ords     []int            // group-key ordinals in schema
 	perGroup int64
 	intKey   bool // replay fold fast path: single int-lane group key
-	fan      *runFan
+	drv      fanDriver
+	fan      *runFan       // level-1 fan, opened by the first flush
 	out      *vector.Batch // reusable render batch for flushes
 }
 
@@ -331,10 +329,12 @@ func newAggSpiller(h *VecHashAggExec, tc *rdd.TaskContext, st *obs.OpStats, perG
 	for i := range ords {
 		ords[i] = i
 	}
-	return &aggSpiller{
-		h: h, tc: tc, st: st, schema: schema, ords: ords, perGroup: perGroup,
+	a := &aggSpiller{
+		h: h, tc: tc, st: st, schema: schema, perGroup: perGroup,
 		intKey: len(h.Groups) == 1 && schema.Fields[0].Type.IntLane(),
 	}
+	a.drv = fanDriver{tc: tc, st: st, op: "VecHashAgg", sides: []fanSide{{schema, ords}}, process: a.fold}
+	return a
 }
 
 // spillSchema is the representation spilled aggregate state is written
@@ -355,17 +355,12 @@ func (h *VecHashAggExec) spillSchema() *sqltypes.Schema {
 
 // flush fans the whole current generation out to the level-1 runs.
 func (a *aggSpiller) flush(s *aggState) error {
-	if err := faultpoint.Hit(faultpoint.SpillPartition); err != nil {
-		return err
-	}
 	if a.fan == nil {
-		fan, err := newRunFan(a.tc, "VecHashAgg", a.schema, a.ords, 1, a.st)
+		fans, err := a.drv.open(1)
 		if err != nil {
 			return err
 		}
-		a.fan = fan
-		a.st.NoteFanout(spillFanout)
-		a.st.NoteDepth(1)
+		a.fan = fans[0]
 	}
 	return a.flushTable(s, a.fan)
 }
@@ -398,8 +393,8 @@ func (a *aggSpiller) flushTable(s *aggState, fan *runFan) error {
 	return nil
 }
 
-// finish flushes the final generation and returns the lazy
-// re-aggregation iterator over the sealed fan-out partitions. (A global
+// finish flushes the final generation and returns the driver's lazy
+// re-aggregation over the sealed fan-out partitions. (A global
 // aggregate's default row cannot be needed here: the spiller only
 // engages after at least one group existed, so some partition is
 // non-empty and renders it.)
@@ -407,71 +402,24 @@ func (a *aggSpiller) finish(s *aggState) (vector.BatchIter, error) {
 	if err := a.flush(s); err != nil {
 		return nil, err
 	}
-	runs, err := a.fan.seal()
-	if err != nil {
+	if err := a.drv.push([]*runFan{a.fan}, 1); err != nil {
 		return nil, err
 	}
-	d := &aggDrainIter{spl: a}
-	for _, r := range runs {
-		d.stack = append(d.stack, aggRunLevel{run: r, level: 1})
-	}
-	return d, nil
+	return &a.drv, nil
 }
 
-// aggRunLevel is one pending fan-out partition and its recursion depth.
-type aggRunLevel struct {
-	run   *spill.Run
-	level int
-}
-
-// aggDrainIter lazily re-aggregates the fan-out partitions one at a
-// time: pop a run, fold its accumulator rows into a fresh table, render
-// and stream it out; a partition that still overflows re-fans with the
-// next level's salt and pushes its sub-partitions. LIFO order bounds the
-// open state to one lineage of partitions, and rendering per partition
-// keeps the resident footprint at one partition's groups — never the
-// whole operator's.
-type aggDrainIter struct {
-	spl   *aggSpiller
-	stack []aggRunLevel
-	cur   vector.BatchIter
-}
-
-// Next implements vector.BatchIter.
-func (d *aggDrainIter) Next() (*vector.Batch, error) {
-	for {
-		if d.cur != nil {
-			b, err := d.cur.Next()
-			if b != nil || err != nil {
-				return b, err
-			}
-			d.cur = nil
-		}
-		if len(d.stack) == 0 {
-			return nil, nil
-		}
-		top := d.stack[len(d.stack)-1]
-		d.stack = d.stack[:len(d.stack)-1]
-		out, err := d.fold(top.run, top.level)
-		if err != nil {
-			return nil, err
-		}
-		d.cur = out // nil when the partition re-fanned into sub-runs
-	}
-}
-
-// fold re-aggregates one partition run. Returns the rendered output, or
-// (nil, nil) when the partition overflowed and its sub-partitions were
-// pushed onto the stack instead.
-func (d *aggDrainIter) fold(run *spill.Run, level int) (vector.BatchIter, error) {
-	a := d.spl
+// fold re-aggregates one partition into a fresh table and renders it, so
+// the resident footprint is one partition's groups — never the whole
+// operator's. Returns (nil, nil) when the partition overflowed and its
+// sub-partitions were pushed instead.
+func (a *aggSpiller) fold(p spillPart) (vector.BatchIter, error) {
 	h := a.h
 	tc := a.tc
 	mem := tc.Mem()
 	ng := len(h.Groups)
 	s := newAggState(len(h.Aggs))
-	var fan *runFan
-	in, err := run.Open(tc.Err, true)
+	var fans []*runFan
+	in, err := p.runs[0].Open(tc.Err, true)
 	if err != nil {
 		return nil, err
 	}
@@ -502,35 +450,25 @@ func (d *aggDrainIter) fold(run *spill.Run, level int) (vector.BatchIter, error)
 			if !errors.Is(rerr, memory.ErrMemoryExceeded) {
 				return nil, rerr
 			}
-			if level >= maxSpillDepth {
-				return nil, fmt.Errorf("physical: aggregate partition still over budget after %d fan-out levels: %w", level, rerr)
-			}
-			if perr := faultpoint.Hit(faultpoint.SpillPartition); perr != nil {
-				return nil, perr
-			}
-			if fan == nil {
-				if fan, err = newRunFan(tc, "VecHashAgg", a.schema, a.ords, uint64(level+1), a.st); err != nil {
+			if fans == nil {
+				fans, err = a.drv.open(p.level + 1)
+				if errors.Is(err, errSpillDepth) {
+					return nil, fmt.Errorf("physical: aggregate partition still over budget after %d fan-out levels: %w", p.level, rerr)
+				}
+				if err != nil {
 					return nil, err
 				}
-				a.st.NoteDepth(int64(level + 1))
 			}
-			if err := a.flushTable(s, fan); err != nil {
+			if err := a.flushTable(s, fans[0]); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if fan != nil {
-		if err := a.flushTable(s, fan); err != nil {
+	if fans != nil {
+		if err := a.flushTable(s, fans[0]); err != nil {
 			return nil, err
 		}
-		subs, err := fan.seal()
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range subs {
-			d.stack = append(d.stack, aggRunLevel{run: r, level: level + 1})
-		}
-		return nil, nil
+		return nil, a.drv.push(fans, p.level+1)
 	}
 	out, err := h.render(s.order)
 	if err != nil {

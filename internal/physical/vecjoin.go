@@ -7,7 +7,6 @@ import (
 	"indexeddf/internal/catalog"
 	"indexeddf/internal/core"
 	"indexeddf/internal/expr"
-	"indexeddf/internal/faultpoint"
 	"indexeddf/internal/memory"
 	"indexeddf/internal/obs"
 	"indexeddf/internal/rdd"
@@ -375,11 +374,12 @@ func (j *VecShuffleHashJoinExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 			return nil, err
 		}
 		gj := &graceJoin{
-			tc: tc, st: st,
-			buildSchema: rightSchema, probeSchema: leftSchema, outSchema: outSchema,
+			tc: tc, st: st, outSchema: outSchema,
 			buildKeys: rKeys, probeKeys: lKeys,
 			streamIsLeft: true, residual: res,
 		}
+		gj.drv = fanDriver{tc: tc, st: st, op: "VecHashJoin",
+			sides: []fanSide{{rightSchema, rKeys}, {leftSchema, lKeys}}, process: gj.joinPair}
 		out, err := gj.run(
 			vector.AsBatchIter(rit, rightSchema, vector.DefaultBatchSize),
 			vector.AsBatchIter(lit, leftSchema, vector.DefaultBatchSize))
@@ -399,30 +399,27 @@ func (j *VecShuffleHashJoinExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 // when its build side outgrows the budget. The in-memory path clones
 // build batches into the referencing table, charging each; when a
 // reservation is refused (and a spill manager exists), both sides fan
-// out: the table's retained batches plus the rest of the build input
-// scatter by build key into spillFanout spilled runs, the entire probe
+// out (see fanDriver): the table's retained batches plus the rest of the
+// build input scatter by build key into spilled runs, the entire probe
 // input scatters by probe key with the same salt into matching runs, and
 // the partition pairs then join one at a time — each pair's build fits
-// or recurses with the next level's salt. At maxSpillDepth a pair stops
-// recursing and falls back to chunked probing: build what fits, re-read
-// the pair's probe run per chunk.
+// or recurses at the next level. At maxSpillDepth a pair stops recursing
+// and falls back to chunked probing: build what fits, re-read the pair's
+// probe run per chunk.
 type graceJoin struct {
-	tc          *rdd.TaskContext
-	st          *obs.OpStats
-	buildSchema *sqltypes.Schema
-	probeSchema *sqltypes.Schema
-	outSchema   *sqltypes.Schema
-	buildKeys   []int
-	probeKeys   []int
+	tc        *rdd.TaskContext
+	st        *obs.OpStats
+	outSchema *sqltypes.Schema
+	buildKeys []int
+	probeKeys []int
 	// streamIsLeft is the output column order: probe columns first.
 	streamIsLeft bool
 	residual     *expr.VecExpr
+	drv          fanDriver // sides: build, then probe
 }
 
 // run builds from bin and returns the join output over pin.
 func (gj *graceJoin) run(bin, pin vector.BatchIter) (vector.BatchIter, error) {
-	tc := gj.tc
-	mem := tc.Mem()
 	ht, charged, pending, err := gj.buildTable(nil, bin, true)
 	if err != nil {
 		return nil, err
@@ -430,65 +427,55 @@ func (gj *graceJoin) run(bin, pin vector.BatchIter) (vector.BatchIter, error) {
 	if pending == nil {
 		// The whole build side fits: probe straight through, returning the
 		// table's charge when the output drains.
-		return releaseOnDrain(gj.probeIter(pin, ht, gj.st), mem, charged), nil
+		return releaseOnDrain(gj.probeIter(pin, ht, gj.st), gj.tc.Mem(), charged), nil
 	}
-	// Build overflowed: fan both sides out and join partition pairs.
-	if err := faultpoint.Hit(faultpoint.SpillPartition); err != nil {
-		return nil, err
-	}
-	gj.st.NoteFanout(spillFanout)
-	gj.st.NoteDepth(1)
-	bfan, err := newRunFan(tc, "VecHashJoin", gj.buildSchema, gj.buildKeys, 1, gj.st)
+	fans, err := gj.drv.open(1)
 	if err != nil {
 		return nil, err
 	}
+	if err := gj.fanOut(fans, 1, ht, charged, pending, bin, pin, true); err != nil {
+		return nil, err
+	}
+	return &gj.drv, nil
+}
+
+// fanOut moves an overflowed build into fans[0] — the table's retained
+// batches, the refused clone, then the rest of bin — returning the
+// table's charge, scatters the whole probe input into fans[1], and pushes
+// the level's pairs. countIn counts input rows (level 1 only: deeper
+// levels re-read runs whose rows were counted on the way in).
+func (gj *graceJoin) fanOut(fans []*runFan, level int, ht *vecJoinTable, charged int64,
+	pending *vector.Batch, bin, pin vector.BatchIter, countIn bool) error {
 	for _, b := range ht.store {
-		if err := bfan.add(b); err != nil {
-			return nil, err
+		if err := fans[0].add(b); err != nil {
+			return err
 		}
 	}
-	if err := bfan.add(pending); err != nil {
-		return nil, err
+	if err := fans[0].add(pending); err != nil {
+		return err
 	}
-	mem.Release(charged)
-	for {
-		b, err := bin.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		gj.st.AddRowsIn(int64(b.Len()))
-		if err := bfan.add(b); err != nil {
-			return nil, err
-		}
-	}
-	pfan, err := newRunFan(tc, "VecHashJoin", gj.probeSchema, gj.probeKeys, 1, gj.st)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		if err := tc.Err(); err != nil {
-			return nil, err
-		}
-		b, err := pin.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		gj.st.AddRowsIn(int64(b.Len()))
-		if err := pfan.add(b); err != nil {
-			return nil, err
+	gj.tc.Mem().Release(charged)
+	for i, in := range []vector.BatchIter{bin, pin} {
+		for {
+			if err := gj.tc.Err(); err != nil {
+				return err
+			}
+			b, err := in.Next()
+			if err != nil {
+				return err
+			}
+			if b == nil {
+				break
+			}
+			if countIn {
+				gj.st.AddRowsIn(int64(b.Len()))
+			}
+			if err := fans[i].add(b); err != nil {
+				return err
+			}
 		}
 	}
-	d := &graceDrainIter{gj: gj}
-	if err := d.pushPairs(bfan, pfan, 1); err != nil {
-		return nil, err
-	}
-	return d, nil
+	return gj.drv.push(fans, level)
 }
 
 // buildTable clones build batches into a referencing table, charging
@@ -549,77 +536,14 @@ func (gj *graceJoin) probeIter(in vector.BatchIter, ht *vecJoinTable, st *obs.Op
 		residual: gj.residual, out: vector.NewBatch(gj.outSchema), filtered: vector.NewBatch(gj.outSchema), st: st}
 }
 
-// gracePair is one pending (build, probe) partition pair and its depth.
-type gracePair struct {
-	build, probe *spill.Run
-	level        int
-}
-
-// graceDrainIter joins the fan-out partition pairs one at a time: pop a
-// pair, build its build run into a table, stream its probe run through;
-// a pair whose build still overflows re-fans both runs with the next
-// level's salt and pushes its sub-pairs (LIFO — one lineage of pairs
-// open at a time). Resident state is bounded by one pair's build table.
-type graceDrainIter struct {
-	gj    *graceJoin
-	stack []gracePair
-	cur   vector.BatchIter
-}
-
-// pushPairs seals both fans and pushes the pairs whose partitions can
-// produce output (an empty build or probe partition joins nothing; both
-// runs are released on the spot).
-func (d *graceDrainIter) pushPairs(bfan, pfan *runFan, level int) error {
-	builds, err := bfan.sealAll()
-	if err != nil {
-		return err
-	}
-	probes, err := pfan.sealAll()
-	if err != nil {
-		return err
-	}
-	for i := range builds {
-		if builds[i].Rows() == 0 || probes[i].Rows() == 0 {
-			builds[i].Release()
-			probes[i].Release()
-			continue
-		}
-		d.stack = append(d.stack, gracePair{build: builds[i], probe: probes[i], level: level})
-	}
-	return nil
-}
-
-// Next implements vector.BatchIter.
-func (d *graceDrainIter) Next() (*vector.Batch, error) {
-	for {
-		if d.cur != nil {
-			b, err := d.cur.Next()
-			if b != nil || err != nil {
-				return b, err
-			}
-			d.cur = nil
-		}
-		if len(d.stack) == 0 {
-			return nil, nil
-		}
-		top := d.stack[len(d.stack)-1]
-		d.stack = d.stack[:len(d.stack)-1]
-		out, err := d.joinPair(top)
-		if err != nil {
-			return nil, err
-		}
-		d.cur = out // nil when the pair re-fanned into sub-pairs
-	}
-}
-
-// joinPair processes one partition pair. Returns its join output, or
-// (nil, nil) when the pair's build overflowed and its sub-pairs were
-// pushed instead.
-func (d *graceDrainIter) joinPair(pair gracePair) (vector.BatchIter, error) {
-	gj := d.gj
+// joinPair joins one partition pair: build its build run into a table,
+// stream its probe run through. Resident state is bounded by one pair's
+// build table. Returns (nil, nil) when the pair's build overflowed and
+// its sub-pairs were pushed instead.
+func (gj *graceJoin) joinPair(pair spillPart) (vector.BatchIter, error) {
 	tc := gj.tc
-	mem := tc.Mem()
-	bin, err := pair.build.Open(tc.Err, true)
+	build, probe := pair.runs[0], pair.runs[1]
+	bin, err := build.Open(tc.Err, true)
 	if err != nil {
 		return nil, err
 	}
@@ -628,82 +552,35 @@ func (d *graceDrainIter) joinPair(pair gracePair) (vector.BatchIter, error) {
 		return nil, err
 	}
 	if pending == nil {
-		pit, err := pair.probe.Open(tc.Err, true)
+		pit, err := probe.Open(tc.Err, true)
 		if err != nil {
 			return nil, err
 		}
-		return releaseOnDrain(gj.probeIter(pit, ht, nil), mem, charged), nil
+		return releaseOnDrain(gj.probeIter(pit, ht, nil), tc.Mem(), charged), nil
 	}
-	if pair.level >= maxSpillDepth {
+	fans, err := gj.drv.open(pair.level + 1)
+	if errors.Is(err, errSpillDepth) {
 		// Can't subdivide further: join in chunks against the re-readable
 		// probe run.
-		return newChunkedJoin(gj, ht, charged, pending, bin, pair.probe), nil
+		return newChunkedJoin(gj, ht, charged, pending, bin, probe), nil
 	}
-	if err := faultpoint.Hit(faultpoint.SpillPartition); err != nil {
-		return nil, err
-	}
-	gj.st.NoteDepth(int64(pair.level + 1))
-	salt := uint64(pair.level + 1)
-	bfan, err := newRunFan(tc, "VecHashJoin", gj.buildSchema, gj.buildKeys, salt, gj.st)
 	if err != nil {
 		return nil, err
 	}
-	for _, b := range ht.store {
-		if err := bfan.add(b); err != nil {
-			return nil, err
-		}
-	}
-	if err := bfan.add(pending); err != nil {
-		return nil, err
-	}
-	mem.Release(charged)
-	for {
-		b, err := bin.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		if err := bfan.add(b); err != nil {
-			return nil, err
-		}
-	}
-	pit, err := pair.probe.Open(tc.Err, true)
+	pit, err := probe.Open(tc.Err, true)
 	if err != nil {
 		return nil, err
 	}
-	pfan, err := newRunFan(tc, "VecHashJoin", gj.probeSchema, gj.probeKeys, salt, gj.st)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		if err := tc.Err(); err != nil {
-			return nil, err
-		}
-		b, err := pit.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		if err := pfan.add(b); err != nil {
-			return nil, err
-		}
-	}
-	if err := d.pushPairs(bfan, pfan, pair.level+1); err != nil {
-		return nil, err
-	}
-	return nil, nil
+	return nil, gj.fanOut(fans, pair.level+1, ht, charged, pending, bin, pit, false)
 }
 
 // chunkedJoinIter is the depth-cap fallback: the build run is consumed
 // in what-fits chunks, and the whole probe run is re-read per chunk.
 // Each build row lands in exactly one chunk, so the union of chunk
 // outputs is exactly the pair's inner join; the cost is probe re-reads
-// proportional to the overflow factor — paid only when 8^maxSpillDepth
-// partitions still couldn't isolate a budget-sized build.
+// proportional to the overflow factor — paid only when maxSpillDepth
+// salted levels couldn't isolate a budget-sized build, in practice a hot
+// build key whose duplicates no salt splits.
 type chunkedJoinIter struct {
 	gj      *graceJoin
 	ht      *vecJoinTable

@@ -1,6 +1,9 @@
 package physical
 
 import (
+	"errors"
+
+	"indexeddf/internal/faultpoint"
 	"indexeddf/internal/obs"
 	"indexeddf/internal/rdd"
 	"indexeddf/internal/spill"
@@ -8,7 +11,7 @@ import (
 	"indexeddf/internal/vector"
 )
 
-// Shared fan-out fabric for the out-of-core hash operators: when a hash
+// Shared fan-out driver for the out-of-core hash operators: when a hash
 // aggregate's group table or a hash join's build side outgrows its
 // reservation, the state is hash-partitioned by key into spillFanout run
 // files and each partition is processed independently — recursively, with
@@ -21,10 +24,14 @@ const (
 	// generation small.
 	spillFanout = 8
 
-	// maxSpillDepth caps fan-out recursion. A partition still over budget
-	// after 8 levels (8^8 ≈ 16M-way split) means the budget cannot hold
-	// even ~1/16M of the distinct-key state; surfacing the memory error
-	// beats grinding the disk forever.
+	// maxSpillDepth caps fan-out recursion. Salting splits distinct keys,
+	// never duplicates of one key: a join build side whose rows share one
+	// hot key lands in a single partition at every level, and each level
+	// rewrites the whole partition (a ~1.4 MB single-key build under a
+	// 512 KiB budget writes ~11 MiB of runs before the cap). Past the cap
+	// the aggregate — whose duplicates pre-aggregate away, so its
+	// over-budget partition really holds too many distinct keys — surfaces
+	// the memory error, and the join falls back to chunked probing.
 	maxSpillDepth = 8
 
 	// spillScatterFlush is how many buffered scatter bytes accumulate
@@ -33,6 +40,117 @@ const (
 	// matching the exchange's spill writer granularity.
 	spillScatterFlush = 1 << 20
 )
+
+// errSpillDepth is open's answer past maxSpillDepth; each operator decides
+// what the cap means for it.
+var errSpillDepth = errors.New("physical: spill fan-out depth cap reached")
+
+// fanSide is one input an operator fans out: its row schema and the key
+// ordinals its rows are routed by.
+type fanSide struct {
+	schema *sqltypes.Schema
+	keys   []int
+}
+
+// spillPart is one pending fan-out partition: one run per side (the
+// aggregate's accumulator rows; the join's build, then probe rows), all
+// holding the same key subset, and the level whose salt routed them.
+type spillPart struct {
+	runs  []*spill.Run
+	level int
+}
+
+// fanDriver is the recursive fan-out both out-of-core hash operators
+// share. An operator whose state outgrows its reservation opens level 1,
+// scatters every side into the level's fans and pushes them; the driver
+// then drains the pending partitions one at a time through the operator's
+// process step, which returns the partition's output — or, when the
+// partition still overflows, opens the next level, re-fans the partition
+// and pushes its sub-partitions, returning nil. LIFO order bounds the
+// open state to one lineage of partitions.
+type fanDriver struct {
+	tc      *rdd.TaskContext
+	st      *obs.OpStats
+	op      string
+	sides   []fanSide
+	process func(spillPart) (vector.BatchIter, error)
+	stack   []spillPart
+	cur     vector.BatchIter
+}
+
+// open starts fan-out level `level` (1 = the operator's first spill): one
+// runFan per side, salted with the level. Past maxSpillDepth it returns
+// errSpillDepth.
+func (d *fanDriver) open(level int) ([]*runFan, error) {
+	if level > maxSpillDepth {
+		return nil, errSpillDepth
+	}
+	if err := faultpoint.Hit(faultpoint.SpillPartition); err != nil {
+		return nil, err
+	}
+	d.st.NoteFanout(spillFanout)
+	d.st.NoteDepth(int64(level))
+	fans := make([]*runFan, len(d.sides))
+	for i, s := range d.sides {
+		f, err := newRunFan(d.tc, d.op, s.schema, s.keys, uint64(level), d.st)
+		if err != nil {
+			return nil, err
+		}
+		fans[i] = f
+	}
+	return fans, nil
+}
+
+// push seals a level's fans and stacks its partitions, pairing the sides'
+// runs by partition index. A partition in which some side is empty
+// produces no output (an aggregate partition without rows, a join pair
+// without build or probe rows), so its runs are released on the spot.
+func (d *fanDriver) push(fans []*runFan, level int) error {
+	for _, f := range fans {
+		if err := f.seal(); err != nil {
+			return err
+		}
+	}
+	for p := 0; p < spillFanout; p++ {
+		part := spillPart{runs: make([]*spill.Run, len(fans)), level: level}
+		empty := false
+		for s, f := range fans {
+			part.runs[s] = f.runs[p]
+			empty = empty || f.runs[p].Rows() == 0
+		}
+		if empty {
+			for _, r := range part.runs {
+				r.Release()
+			}
+			continue
+		}
+		d.stack = append(d.stack, part)
+	}
+	return nil
+}
+
+// Next implements vector.BatchIter.
+func (d *fanDriver) Next() (*vector.Batch, error) {
+	for {
+		if d.cur != nil {
+			b, err := d.cur.Next()
+			if b != nil || err != nil {
+				return b, err
+			}
+			d.cur = nil
+		}
+		if len(d.stack) == 0 {
+			return nil, nil
+		}
+		top := d.stack[len(d.stack)-1]
+		d.stack = d.stack[:len(d.stack)-1]
+		out, err := d.process(top)
+		if err != nil {
+			return nil, err
+		}
+		d.cur = out // nil when the partition re-fanned into sub-partitions
+	}
+}
 
 // runFan hash-partitions batches into spillFanout spill runs. Routing
 // hashes the key ordinals folded with a per-level salt, so recursing on
@@ -87,46 +205,15 @@ func (f *runFan) flush() error {
 	return nil
 }
 
-// seal drains and seals every run, releasing the empty ones and returning
-// the rest (the partitions that actually hold rows).
-func (f *runFan) seal() ([]*spill.Run, error) {
+// seal drains the builders and seals every run.
+func (f *runFan) seal() error {
 	if err := f.flush(); err != nil {
-		return nil, err
-	}
-	out := make([]*spill.Run, 0, len(f.runs))
-	for _, r := range f.runs {
-		if err := r.Seal(); err != nil {
-			return nil, err
-		}
-		if r.Rows() == 0 {
-			r.Release()
-			continue
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// sealAll drains and seals every run and returns all spillFanout of them
-// in partition order — empty ones included (the grace join pairs build
-// and probe runs by partition index, so positions must line up).
-func (f *runFan) sealAll() ([]*spill.Run, error) {
-	if err := f.flush(); err != nil {
-		return nil, err
+		return err
 	}
 	for _, r := range f.runs {
 		if err := r.Seal(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return f.runs, nil
-}
-
-// release frees every run of an abandoned fan-out (error paths; the
-// query tracker's closers would reap them anyway, but eagerly returning
-// the disk space keeps long queries from accumulating dead files).
-func (f *runFan) release() {
-	for _, r := range f.runs {
-		r.Release()
-	}
+	return nil
 }

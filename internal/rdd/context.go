@@ -13,20 +13,17 @@ import (
 	"indexeddf/internal/obs"
 	"indexeddf/internal/spill"
 	"indexeddf/internal/sqltypes"
-	"indexeddf/internal/storage"
 	"indexeddf/internal/vector"
 )
 
 // Context is the engine's "SparkContext": it owns id allocation, the
-// shuffle service, the block manager and the task pool, and schedules jobs.
+// shuffle service, the spill fabric and the task pool, and schedules jobs.
 type Context struct {
 	rddID       atomic.Int64
 	shuffleID   atomic.Int64
 	parallelism int
 	shuffles    *ShuffleManager
 	spill       *spill.Manager // nil = out-of-core execution disabled
-	// Blocks is the block manager used by cached RDDs.
-	Blocks *storage.Manager
 
 	// Task metrics: partition tasks (result or shuffle-map) started and
 	// completed since the context was created. Streaming-cursor tests use
@@ -52,11 +49,6 @@ func WithParallelism(n int) Option {
 	}
 }
 
-// WithCacheCapacity bounds the block manager (bytes); <=0 is unbounded.
-func WithCacheCapacity(capacity int64) Option {
-	return func(c *Context) { c.Blocks = storage.NewManager(capacity) }
-}
-
 // WithSpill enables out-of-core execution: blocking operators (shuffle
 // stores, sort runs, join builds) spill to m's run files when the query's
 // memory budget refuses their next reservation. Without it (or without a
@@ -69,12 +61,11 @@ func WithSpill(m *spill.Manager) Option {
 }
 
 // NewContext builds a Context with sane defaults (parallelism =
-// GOMAXPROCS, unbounded cache).
+// GOMAXPROCS, out-of-core execution disabled).
 func NewContext(opts ...Option) *Context {
 	c := &Context{
 		parallelism: runtime.GOMAXPROCS(0),
 		shuffles:    NewShuffleManager(),
-		Blocks:      storage.NewManager(0),
 	}
 	for _, o := range opts {
 		o(c)
@@ -105,10 +96,6 @@ func (c *Context) SpillManager() *spill.Manager { return c.spill }
 
 func (c *Context) nextRDDID() int     { return int(c.rddID.Add(1)) }
 func (c *Context) nextShuffleID() int { return int(c.shuffleID.Add(1)) }
-
-func (c *Context) blockID(owner, partition int) storage.BlockID {
-	return storage.BlockID{Owner: owner, Partition: partition}
-}
 
 // parallelFor runs f(0..n-1) on the task pool and returns the first error.
 // A cancelled ctx stops handing out new indices and surfaces ctx.Err().
@@ -259,7 +246,7 @@ func drainCtx(ctx context.Context, it sqltypes.RowIter) ([]sqltypes.Row, int64, 
 }
 
 // RowBytes estimates one row's resident size for accounting: value
-// headers plus string payloads (the same model the block manager uses).
+// headers plus string payloads.
 func RowBytes(row sqltypes.Row) int64 {
 	size := int64(len(row)) * 24
 	for _, v := range row {
@@ -795,69 +782,6 @@ func (m *ShuffleManager) OpenBatchRunReaders(shuffleID, nRuns, p int, tc *TaskCo
 		runs[i] = &shuffleBatchReader{out: out, reducer: p, tc: tc, mapPart: i, lastMap: i + 1}
 	}
 	return runs, nil
-}
-
-// Fetch concatenates reduce partition p across all map outputs (kept for
-// tests and row-bulk callers; the execution path streams through
-// OpenRowReader instead). On a columnar shuffle the sealed batches are
-// materialized into rows.
-func (m *ShuffleManager) Fetch(shuffleID, p int) ([]sqltypes.Row, error) {
-	out, ok := m.lookup(shuffleID)
-	if !ok {
-		return nil, fmt.Errorf("rdd: shuffle %d has no map outputs (stage not run)", shuffleID)
-	}
-	out.mu.RLock()
-	columnar := out.batches != nil
-	spilled := out.runs != nil
-	out.mu.RUnlock()
-	var rows []sqltypes.Row
-	if spilled {
-		for mapPart := 0; ; mapPart++ {
-			run, ok := out.runBucket(mapPart, p)
-			if !ok {
-				return rows, nil
-			}
-			if run == nil {
-				continue
-			}
-			it, err := run.Open(nil, false)
-			if err != nil {
-				return nil, err
-			}
-			for {
-				b, err := it.Next()
-				if err != nil {
-					return nil, err
-				}
-				if b == nil {
-					break
-				}
-				for i := 0; i < b.Len(); i++ {
-					rows = append(rows, b.Row(i))
-				}
-			}
-		}
-	}
-	if columnar {
-		for mapPart := 0; ; mapPart++ {
-			bucket, ok := out.batchBucket(mapPart, p)
-			if !ok {
-				return rows, nil
-			}
-			for _, b := range bucket {
-				for i := 0; i < b.Len(); i++ {
-					rows = append(rows, b.Row(i))
-				}
-			}
-		}
-	}
-	for mapPart := 0; ; mapPart++ {
-		bucket, ok := out.rowBucket(mapPart, p)
-		if !ok {
-			return rows, nil
-		}
-		rows = append(rows, bucket...)
-	}
 }
 
 // shuffleRowReader iterates reduce partition reducer's rows across map

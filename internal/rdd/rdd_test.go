@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sort"
-	"sync/atomic"
 	"testing"
 
 	"indexeddf/internal/sqltypes"
@@ -145,33 +144,6 @@ func TestUnionRDD(t *testing.T) {
 	}
 }
 
-func TestCachedRDDMemoizes(t *testing.T) {
-	c := NewContext()
-	var computes atomic.Int64
-	base := c.NewIterRDD(nil, 3, func(_ *TaskContext, p int, _ sqltypes.RowIter) (sqltypes.RowIter, error) {
-		computes.Add(1)
-		return sqltypes.NewSliceIter(intRows(4)), nil
-	})
-	cached := c.NewCachedRDD(base)
-	if _, err := c.Collect(cached); err != nil {
-		t.Fatal(err)
-	}
-	first := computes.Load()
-	if first != 3 {
-		t.Fatalf("first run computed %d partitions", first)
-	}
-	if _, err := c.Collect(cached); err != nil {
-		t.Fatal(err)
-	}
-	if got := computes.Load(); got != first {
-		t.Fatalf("second run recomputed: %d -> %d", first, got)
-	}
-	stats := c.Blocks.Stats()
-	if stats.Blocks != 3 || stats.Hits == 0 {
-		t.Fatalf("cache stats: %+v", stats)
-	}
-}
-
 func TestComputeErrorPropagates(t *testing.T) {
 	c := NewContext()
 	boom := errors.New("boom")
@@ -193,8 +165,11 @@ func TestComputeErrorPropagates(t *testing.T) {
 
 func TestShuffleFetchWithoutStageFails(t *testing.T) {
 	m := NewShuffleManager()
-	if _, err := m.Fetch(42, 0); err == nil {
-		t.Fatal("Fetch of unknown shuffle should fail")
+	if _, err := m.OpenRowReader(42, 0, nil); err == nil {
+		t.Fatal("OpenRowReader of unknown shuffle should fail")
+	}
+	if _, err := m.OpenBatchReader(42, 0, nil); err == nil {
+		t.Fatal("OpenBatchReader of unknown shuffle should fail")
 	}
 }
 

@@ -487,6 +487,52 @@ func TestSpillGraceJoin(t *testing.T) {
 	}
 }
 
+// TestSpillJoinHotBuildKey drives the grace join to its depth cap: every
+// build row shares one key, so no salt ever splits the build partition
+// and each level rewrites all of it. At maxSpillDepth the pair falls back
+// to chunked probing — build what fits, re-read the probe run per chunk —
+// and the result must still match the in-memory join exactly.
+func TestSpillJoinHotBuildKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	const limit = 512 << 10
+	// Probe side: 5k rows, val ∈ [0,200) with NULLs; ~25 hit the hot key.
+	left := make([]Row, 5_000)
+	for i := range left {
+		var val any
+		if rng.Intn(20) != 0 {
+			val = int64(rng.Intn(200))
+		}
+		left[i] = R(int64(i), val, fmt.Sprintf("l-%06d", i))
+	}
+	memSess, ocSess := newSpillPair(t, "l", spillSchema(), left, limit,
+		Config{TablePartitions: 8, ShufflePartitions: 4, Parallelism: 2, BroadcastThreshold: 1})
+	// Build side: 3k fat rows (~1.4 MB, ~3x the budget) all keyed 7.
+	pad := strings.Repeat("h", 450)
+	right := make([]Row, 3_000)
+	for i := range right {
+		right[i] = R(int64(7), int64(i), fmt.Sprintf("hot-%s-%06d", pad, i))
+	}
+	for _, s := range []*Session{memSess, ocSess} {
+		if _, err := s.CreateTable("r", spillSchema(), right); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	q := "SELECT l.id, COUNT(*), MIN(r.val), MAX(r.val) FROM l JOIN r ON l.val = r.id GROUP BY l.id"
+	want, _ := collectStats(t, memSess, q)
+	got, qs := collectStats(t, ocSess, q)
+	if len(want) == 0 {
+		t.Fatal("join produced no rows; fixture broken")
+	}
+	wantSameRows(t, got, want, false)
+	wantSpilled(t, qs, limit)
+
+	plan := explainAnalyze(t, ocSess, q)
+	if !strings.Contains(plan, "depth=8") {
+		t.Fatalf("hot-key join did not reach the depth cap:\n%s", plan)
+	}
+}
+
 // TestSpillSortParallelAblation: the same over-budget sort through the
 // range-partitioned parallel merge (SortPartitions=4), the single k-way
 // merge (SortPartitions=1, PR 8's shape), and the unconstrained
