@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"indexeddf"
+	"indexeddf/internal/opt"
 )
 
 // The adaptive filter cascade must be invisible except for speed:
@@ -56,12 +57,13 @@ func adaptiveTestData(rng *rand.Rand, n int) ([]indexeddf.Row, *indexeddf.Schema
 
 func adaptiveSession(t *testing.T, adaptive bool, rows []indexeddf.Row, schema *indexeddf.Schema) *indexeddf.Session {
 	t.Helper()
-	sess := indexeddf.NewSession(indexeddf.Config{
-		// Statistics off so both sessions plan the identical conjunct
-		// order; the only difference under test is the runtime cascade.
-		DisableStats:          true,
-		DisableAdaptiveFilter: !adaptive,
-	})
+	// Statistics off so both sessions plan the identical conjunct order;
+	// the only difference under test is the runtime cascade.
+	ablate := opt.NoStats
+	if !adaptive {
+		ablate |= opt.StaticFilter
+	}
+	sess := indexeddf.NewAblatedSession(indexeddf.Config{}, ablate)
 	df, err := sess.CreateTable("t", schema, rows)
 	if err != nil {
 		t.Fatal(err)

@@ -50,16 +50,11 @@ type Tracer struct {
 	dropped int64
 }
 
-// DefaultTraceCapacity bounds the per-session trace ring when the
-// configuration does not say otherwise.
+// DefaultTraceCapacity bounds the per-session trace ring.
 const DefaultTraceCapacity = 512
 
-// NewTracer builds a tracer retaining the last capacity events
-// (capacity <= 0 uses DefaultTraceCapacity).
+// NewTracer builds a tracer retaining the last capacity (> 0) events.
 func NewTracer(capacity int) *Tracer {
-	if capacity <= 0 {
-		capacity = DefaultTraceCapacity
-	}
 	return &Tracer{buf: make([]Event, 0, capacity)}
 }
 

@@ -201,7 +201,7 @@ func planOf(t *testing.T, n plan.Node) physical.Exec {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec, err := NewPlanner(DefaultPlannerConfig()).Plan(optimized)
+	exec, err := NewPlanner(PlannerConfig{ShufflePartitions: 4, BroadcastThreshold: 10_000}).Plan(optimized)
 	if err != nil {
 		t.Fatal(err)
 	}

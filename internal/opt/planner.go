@@ -10,45 +10,47 @@ import (
 	"indexeddf/internal/sqltypes"
 )
 
+// Ablation switches engine strategies off, one bit each, so the
+// equivalence suites and BenchmarkAblation can compare a strategy against
+// the reference path it replaces. The zero value is the full engine.
+type Ablation uint8
+
+const (
+	// RowEngine skips the vectorize pass: row-at-a-time execution
+	// everywhere.
+	RowEngine Ablation = 1 << iota
+	// NoViewRewrite never answers an aggregation from a materialized
+	// view; views are still maintained and queryable by name.
+	NoViewRewrite
+	// NoStats turns off statistics: the session collects none on the
+	// tables it creates, the plan-time conjunct reorder rule is skipped
+	// and cost estimates fall back to the structural defaults.
+	NoStats
+	// StaticFilter evaluates a multi-conjunct vectorized filter as one
+	// fused kernel in plan order instead of the self-reordering cascade.
+	StaticFilter
+	// SingleMerge runs a spilled vectorized sort's final merge as one
+	// k-way merge task instead of the range-partitioned parallel merge.
+	SingleMerge
+)
+
+// Has reports whether any bit of b is set in a.
+func (a Ablation) Has(b Ablation) bool { return a&b != 0 }
+
 // PlannerConfig tunes the physical planning heuristics.
 type PlannerConfig struct {
-	// ShufflePartitions is the reduce-side partition count for exchanges.
+	// ShufflePartitions is the reduce-side partition count for exchanges
+	// and for a spilled vectorized sort's range-partitioned merge.
 	ShufflePartitions int
 	// BroadcastThreshold is the estimated row count under which a join
 	// side is broadcast instead of shuffled.
 	BroadcastThreshold int64
-	// SortPartitions is the reduce-side partition count for a vectorized
-	// sort's final merge stage when spilling is enabled (the
-	// range-partitioned parallel merge). 0 follows ShufflePartitions;
-	// 1 forces the single k-way merge task (the pre-range behavior, kept
-	// as the ablation baseline).
-	SortPartitions int
-	// DisableVectorized turns off the batch-at-a-time operator rewrite,
-	// forcing row-at-a-time execution everywhere (benchmarks use it to
-	// measure the vectorized engine against the row engine).
-	DisableVectorized bool
 	// Views is the session's materialized-view registry; aggregations
 	// matching a registered view plan as a scan of its maintained state.
 	// nil disables the rewrite.
 	Views *catalog.ViewRegistry
-	// DisableViewRewrite turns off the materialized-view rewrite even when
-	// views are registered (the escape hatch mirroring DisableVectorized).
-	DisableViewRewrite bool
-	// DisableStats turns off statistics-driven planning: the plan-time
-	// conjunct reorder rule is skipped and cost estimates fall back to
-	// the structural defaults. Collection on the tables is governed by
-	// the session, not here.
-	DisableStats bool
-	// DisableAdaptiveFilter turns off runtime conjunct re-ranking inside
-	// vectorized filters; multi-conjunct predicates evaluate as one fused
-	// kernel in plan order.
-	DisableAdaptiveFilter bool
-}
-
-// DefaultPlannerConfig mirrors small-cluster Spark defaults scaled to one
-// process.
-func DefaultPlannerConfig() PlannerConfig {
-	return PlannerConfig{ShufflePartitions: 4, BroadcastThreshold: 10_000}
+	// Ablate switches strategies off (tests and ablation benchmarks).
+	Ablate Ablation
 }
 
 // Planner lowers optimized logical plans to physical plans.
@@ -56,32 +58,22 @@ type Planner struct {
 	cfg PlannerConfig
 }
 
-// NewPlanner builds a planner.
-func NewPlanner(cfg PlannerConfig) *Planner {
-	if cfg.ShufflePartitions <= 0 {
-		cfg.ShufflePartitions = 4
-	}
-	if cfg.BroadcastThreshold <= 0 {
-		cfg.BroadcastThreshold = 10_000
-	}
-	if cfg.SortPartitions <= 0 {
-		cfg.SortPartitions = cfg.ShufflePartitions
-	}
-	return &Planner{cfg: cfg}
-}
+// NewPlanner builds a planner. The caller supplies ShufflePartitions and
+// BroadcastThreshold (the session's Config defaults them).
+func NewPlanner(cfg PlannerConfig) *Planner { return &Planner{cfg: cfg} }
 
 // Optimize runs the logical rule batch with the planner's cost model:
 // the package-level rules plus, when statistics are enabled, the
 // conjunct reorder rule (cheapest-most-selective-first filters).
 func (pl *Planner) Optimize(n plan.Node) (plan.Node, error) {
 	rules := DefaultRules()
-	if !pl.cfg.DisableStats {
+	if !pl.cfg.Ablate.Has(NoStats) {
 		rules = append(rules, Rule{Name: "ReorderFilterConjuncts", Apply: reorderFilterConjuncts})
 	}
 	return optimizeWith(n, rules)
 }
 
-// Plan lowers an analyzed, optimized logical plan and — unless disabled —
+// Plan lowers an analyzed, optimized logical plan and — unless ablated —
 // vectorizes every subtree whose operators are batch-capable, leaving row
 // operators (bridged by batch/row adapters) at the boundaries.
 func (pl *Planner) Plan(n plan.Node) (physical.Exec, error) {
@@ -89,38 +81,10 @@ func (pl *Planner) Plan(n plan.Node) (physical.Exec, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !pl.cfg.DisableVectorized {
-		e = vectorize(e, false) // the root feeds the driver's row collect
-		setSortParallelism(e, pl.cfg.SortPartitions)
-		if !pl.cfg.DisableAdaptiveFilter {
-			setAdaptiveFilters(e)
-		}
+	if !pl.cfg.Ablate.Has(RowEngine) {
+		e = pl.vectorize(e, false) // the root feeds the driver's row collect
 	}
 	return e, nil
-}
-
-// setAdaptiveFilters marks every vectorized filter in the finished tree
-// as eligible for runtime conjunct re-ranking (a post-vectorize pass,
-// like setSortParallelism).
-func setAdaptiveFilters(e physical.Exec) {
-	if f, ok := e.(*physical.VecFilterExec); ok {
-		f.Adaptive = true
-	}
-	for _, c := range e.Children() {
-		setAdaptiveFilters(c)
-	}
-}
-
-// setSortParallelism stamps the configured range-merge width onto every
-// vectorized sort in the finished tree (a post-vectorize pass: the
-// rewrite itself builds VecSortExec nodes in several places).
-func setSortParallelism(e physical.Exec, n int) {
-	if s, ok := e.(*physical.VecSortExec); ok {
-		s.Parallel = n
-	}
-	for _, c := range e.Children() {
-		setSortParallelism(c, n)
-	}
 }
 
 // plan is the recursive strategy dispatch (row operators only; the

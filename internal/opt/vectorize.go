@@ -30,7 +30,7 @@ import (
 // Mixed plans need no glue: every vectorized operator accepts row parents
 // through the batch adapters and presents a row iterator to row parents,
 // so the fallback boundary is simply wherever the rewrite stops.
-func vectorize(e physical.Exec, batchSink bool) physical.Exec {
+func (pl *Planner) vectorize(e physical.Exec, batchSink bool) physical.Exec {
 	if rowBound(e) {
 		// Every leaf of this subtree is a point lookup (or literal rows):
 		// the data volume is a handful of rows, where per-query kernel
@@ -57,62 +57,64 @@ func vectorize(e physical.Exec, batchSink bool) physical.Exec {
 		return t
 	case *physical.FilterExec:
 		if expr.CanVectorize(t.Cond) {
-			return physical.NewVecFilter(vectorize(t.Child, true), t.Cond)
+			f := physical.NewVecFilter(pl.vectorize(t.Child, true), t.Cond)
+			f.Adaptive = !pl.cfg.Ablate.Has(StaticFilter)
+			return f
 		}
-		return physical.NewFilter(vectorize(t.Child, false), t.Cond)
+		return physical.NewFilter(pl.vectorize(t.Child, false), t.Cond)
 	case *physical.ProjectExec:
 		if allVectorizable(t.Exprs) {
-			return physical.NewVecProject(vectorize(t.Child, true), t.Exprs, t.Schema())
+			return physical.NewVecProject(pl.vectorize(t.Child, true), t.Exprs, t.Schema())
 		}
-		return physical.NewProject(vectorize(t.Child, false), t.Exprs, t.Schema())
+		return physical.NewProject(pl.vectorize(t.Child, false), t.Exprs, t.Schema())
 	case *physical.HashAggExec:
 		if t.Mode == physical.AggFinal {
 			// The final merge is positional (leading group columns,
 			// accumulator columns after) — no expression compilation, so
 			// it vectorizes regardless of what the aggregates compute, and
 			// its child exchange sees a batch sink.
-			return physical.NewVecHashAgg(vectorize(t.Child, true), t.Groups, t.Aggs, t.Mode, t.Schema())
+			return physical.NewVecHashAgg(pl.vectorize(t.Child, true), t.Groups, t.Aggs, t.Mode, t.Schema())
 		}
 		if allVectorizable(t.Groups) && aggsVectorizable(t.Aggs) {
-			return physical.NewVecHashAgg(vectorize(t.Child, true), t.Groups, t.Aggs, t.Mode, t.Schema())
+			return physical.NewVecHashAgg(pl.vectorize(t.Child, true), t.Groups, t.Aggs, t.Mode, t.Schema())
 		}
-		return physical.NewHashAgg(vectorize(t.Child, false), t.Groups, t.Aggs, t.Mode, t.Schema())
+		return physical.NewHashAgg(pl.vectorize(t.Child, false), t.Groups, t.Aggs, t.Mode, t.Schema())
 	case *physical.BroadcastHashJoinExec:
 		// The build side is collected to rows either way; only the stream
 		// side flows as batches through the vectorized probe.
 		if batchSink && t.Type == physical.InnerJoin && residualVectorizable(t.Residual) {
-			return physical.NewVecBroadcastHashJoin(vectorize(t.Stream, true), vectorize(t.Build, false),
+			return physical.NewVecBroadcastHashJoin(pl.vectorize(t.Stream, true), pl.vectorize(t.Build, false),
 				t.StreamKeys, t.BuildKeys, t.BuildIsRight, t.Residual)
 		}
-		return physical.NewBroadcastHashJoin(vectorize(t.Stream, false), vectorize(t.Build, false),
+		return physical.NewBroadcastHashJoin(pl.vectorize(t.Stream, false), pl.vectorize(t.Build, false),
 			t.StreamKeys, t.BuildKeys, t.BuildIsRight, t.Type, t.Residual)
 	case *physical.ShuffleHashJoinExec:
 		// Both sides cross a shuffle (row boundary) regardless.
 		if batchSink && t.Type == physical.InnerJoin && residualVectorizable(t.Residual) {
-			return physical.NewVecShuffleHashJoin(vectorize(t.Left, false), vectorize(t.Right, false),
+			return physical.NewVecShuffleHashJoin(pl.vectorize(t.Left, false), pl.vectorize(t.Right, false),
 				t.LeftKeys, t.RightKeys, t.Residual, t.NumPartitions)
 		}
-		return physical.NewShuffleHashJoin(vectorize(t.Left, false), vectorize(t.Right, false),
+		return physical.NewShuffleHashJoin(pl.vectorize(t.Left, false), pl.vectorize(t.Right, false),
 			t.LeftKeys, t.RightKeys, t.Type, t.Residual, t.NumPartitions)
 	case *physical.IndexedJoinExec:
 		// The probe side is either collected (broadcast) or shuffled —
 		// a row boundary in both modes.
 		if batchSink && t.Type == physical.InnerJoin && residualVectorizable(t.Residual) {
-			return physical.NewVecIndexedJoin(t.Indexed, vectorize(t.Probe, false), t.ProbeKey,
+			return physical.NewVecIndexedJoin(t.Indexed, pl.vectorize(t.Probe, false), t.ProbeKey,
 				t.IndexedIsLeft, t.Broadcast, t.Residual, t.Schema())
 		}
-		return physical.NewIndexedJoin(t.Indexed, vectorize(t.Probe, false), t.ProbeKey,
+		return physical.NewIndexedJoin(t.Indexed, pl.vectorize(t.Probe, false), t.ProbeKey,
 			t.IndexedIsLeft, t.Broadcast, t.Type, t.Residual, t.Schema())
 	case *physical.NestedLoopJoinExec:
-		return physical.NewNestedLoopJoin(vectorize(t.Left, false), vectorize(t.Right, false), t.Type, t.Cond)
+		return physical.NewNestedLoopJoin(pl.vectorize(t.Left, false), pl.vectorize(t.Right, false), t.Type, t.Cond)
 	case *physical.SortExec:
 		// The batch sort ingests batches (typed-lane key extraction, index
 		// sort, gather into sorted runs, k-way merge), so its child sees a
 		// batch sink — the gather exchange under the old row sort is gone.
 		if ordersVectorizable(t.Orders) {
-			return physical.NewVecSort(vectorize(t.Child, true), t.Orders)
+			return pl.vecSort(t.Child, t.Orders)
 		}
-		return physical.NewSort(vectorize(t.Child, false), t.Orders)
+		return physical.NewSort(pl.vectorize(t.Child, false), t.Orders)
 	case *physical.LimitExec:
 		// LIMIT n directly over a sort is a top-n: bounded per-partition
 		// heaps and an n-row merge replace the full global sort, as long as
@@ -120,31 +122,42 @@ func vectorize(e physical.Exec, batchSink bool) physical.Exec {
 		// run-merge with a limit is the better plan).
 		if s, ok := t.Child.(*physical.SortExec); ok && ordersVectorizable(s.Orders) {
 			if t.N >= 0 && t.N <= maxVecTopN {
-				return physical.NewVecTopN(vectorize(s.Child, true), s.Orders, t.N)
+				return physical.NewVecTopN(pl.vectorize(s.Child, true), s.Orders, t.N)
 			}
-			return physical.NewLimit(physical.NewVecSort(vectorize(s.Child, true), s.Orders), t.N)
+			return physical.NewLimit(pl.vecSort(s.Child, s.Orders), t.N)
 		}
-		return physical.NewLimit(vectorize(t.Child, false), t.N)
+		return physical.NewLimit(pl.vectorize(t.Child, false), t.N)
 	case *physical.ExchangeExec:
 		if batchSink {
 			// The consumer ingests batches, so keep the stage boundary
 			// columnar: the child feeds the scatter kernel batch-at-a-time
 			// and the consumer splices the reduce-side batch stream.
-			return physical.NewVecExchange(vectorize(t.Child, true), t.Keys, t.NumPartitions)
+			return physical.NewVecExchange(pl.vectorize(t.Child, true), t.Keys, t.NumPartitions)
 		}
-		return physical.NewExchange(vectorize(t.Child, false), t.Keys, t.NumPartitions)
+		return physical.NewExchange(pl.vectorize(t.Child, false), t.Keys, t.NumPartitions)
 	case *physical.UnionExec:
 		ins := make([]physical.Exec, len(t.Inputs))
 		for i, in := range t.Inputs {
 			// Union concatenates partitions without touching rows; the
 			// real consumer is the union's own parent.
-			ins[i] = vectorize(in, batchSink)
+			ins[i] = pl.vectorize(in, batchSink)
 		}
 		return physical.NewUnion(ins...)
 	default:
 		// Leaves (Values, IndexLookup) and anything unknown stay row-based.
 		return e
 	}
+}
+
+// vecSort builds the batch sort over child, with a spilled sort's final
+// merge range-partitioned ShufflePartitions ways unless ablated.
+func (pl *Planner) vecSort(child physical.Exec, orders []physical.SortOrder) *physical.VecSortExec {
+	s := physical.NewVecSort(pl.vectorize(child, true), orders)
+	s.Parallel = pl.cfg.ShufflePartitions
+	if pl.cfg.Ablate.Has(SingleMerge) {
+		s.Parallel = 1
+	}
+	return s
 }
 
 // rowBound reports whether every leaf of the subtree is an index point

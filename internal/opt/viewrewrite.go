@@ -16,11 +16,10 @@ import (
 // Matching is canonical (ordinal-based, alias-insensitive) and requires
 // the view to cover every requested aggregate; the view may maintain more,
 // in which case only the matched columns are projected. The first matching
-// view in name order wins. Disabled by PlannerConfig.DisableViewRewrite —
-// the escape hatch benchmarks and equivalence tests use to force the
-// from-scratch plan.
+// view in name order wins. The NoViewRewrite ablation turns it off to force
+// the from-scratch plan.
 func (pl *Planner) tryViewScan(a *plan.Aggregate) (physical.Exec, bool) {
-	if pl.cfg.DisableViewRewrite || pl.cfg.Views == nil {
+	if pl.cfg.Ablate.Has(NoViewRewrite) || pl.cfg.Views == nil {
 		return nil, false
 	}
 	child := a.Child

@@ -10,7 +10,8 @@ import (
 // RewriteExprs rebuilds a physical plan with fn applied (via expr.Transform)
 // to every expression it carries — filter conditions, projections, group
 // keys, aggregate arguments, sort orders, join residuals and index-lookup
-// keys. Untouched subtrees are shared with the input plan, so a rewrite of
+// keys. A rebuilt node keeps every strategy field the planner set on it.
+// Untouched subtrees are shared with the input plan, so a rewrite of
 // a cached plan is cheap and the cached original stays intact; that is
 // what lets one compiled prepared statement serve concurrent executions
 // with different bindings.
@@ -88,7 +89,9 @@ func RewriteExprs(e Exec, fn func(expr.Expr) (expr.Expr, error)) (Exec, error) {
 		if !cc && cond == t.Cond {
 			return t, nil
 		}
-		return NewVecFilter(child, cond), nil
+		nf := *t // keep the planner's strategy fields (Adaptive)
+		nf.Child, nf.Cond = child, cond
+		return &nf, nil
 	case *ProjectExec:
 		child, cc, err := rewriteChild(t.Child, fn)
 		if err != nil {
@@ -174,7 +177,9 @@ func RewriteExprs(e Exec, fn func(expr.Expr) (expr.Expr, error)) (Exec, error) {
 		if !cc && !oc {
 			return t, nil
 		}
-		return NewVecSort(child, orders), nil
+		ns := *t // keep the planner's strategy fields (Parallel)
+		ns.Child, ns.Orders = child, orders
+		return &ns, nil
 	case *VecTopNExec:
 		child, cc, err := rewriteChild(t.Child, fn)
 		if err != nil {

@@ -26,8 +26,8 @@ type VecFilterExec struct {
 	// predicate compiles to one kernel per conjunct evaluated as a
 	// cascade (each conjunct only sees survivors of the previous ones),
 	// and observed per-conjunct selectivity and cost periodically
-	// re-rank the cascade cheapest-most-selective-first. Stamped by the
-	// planner's post-vectorize pass unless disabled by config.
+	// re-rank the cascade cheapest-most-selective-first. The planner sets
+	// it unless the StaticFilter ablation is on.
 	Adaptive bool
 }
 

@@ -34,7 +34,8 @@ type VecSortExec struct {
 	Orders []SortOrder
 
 	// Parallel is the number of range partitions the final merge stage
-	// runs with (the planner sets it from PlannerConfig.SortPartitions).
+	// runs with (the planner sets ShufflePartitions, or 1 under the
+	// SingleMerge ablation).
 	// With Parallel <= 1, or without a spill manager, the final stage is
 	// the single k-way merge task; above 1 the per-partition sorted runs
 	// are published to a shared coordinator and P reduce tasks each merge

@@ -44,7 +44,7 @@ func FormatBytes(n int64) string { return obs.FormatBytes(n) }
 func (s *Session) Metrics() *obs.Registry { return s.metrics }
 
 // TraceEvents returns the session's retained query-lifecycle trace events,
-// oldest first. The ring holds Config.TraceCapacity events.
+// oldest first. The ring holds obs.DefaultTraceCapacity events.
 func (s *Session) TraceEvents() []obs.Event { return s.tracer.Events() }
 
 // TraceEventsFor returns the retained trace events of one query id.
@@ -55,11 +55,7 @@ func (s *Session) TraceEventsFor(queryID string) []obs.Event {
 // initObservability builds the registry and wires the engine-global gauges
 // and counter views. Called once from NewSession.
 func (s *Session) initObservability() {
-	capacity := s.cfg.TraceCapacity
-	if capacity <= 0 {
-		capacity = obs.DefaultTraceCapacity
-	}
-	s.tracer = obs.NewTracer(capacity)
+	s.tracer = obs.NewTracer(obs.DefaultTraceCapacity)
 	m := obs.NewRegistry()
 	s.metrics = m
 

@@ -10,14 +10,16 @@ import (
 	"testing"
 	"time"
 
+	"indexeddf/internal/obs"
+	"indexeddf/internal/opt"
 	"indexeddf/internal/testutil"
 )
 
 // newObsSession builds a session over an n-row two-column table "t"
 // (id ascending, val = id % 101) for observability assertions.
-func newObsSession(t *testing.T, cfg Config, n int) *Session {
+func newObsSession(t *testing.T, cfg Config, ablate opt.Ablation, n int) *Session {
 	t.Helper()
-	s := NewSession(cfg)
+	s := newSession(cfg, ablate)
 	rows := make([]Row, n)
 	for i := range rows {
 		rows[i] = R(int64(i), int64(i%101))
@@ -57,14 +59,14 @@ func TestExplainAnalyzeMatchesCollect(t *testing.T) {
 		"SELECT id, val FROM t ORDER BY val, id LIMIT 7",
 	}
 	for _, engine := range []struct {
-		name string
-		cfg  Config
+		name   string
+		ablate opt.Ablation
 	}{
-		{"vectorized", Config{TablePartitions: 8}},
-		{"row", Config{TablePartitions: 8, DisableVectorized: true}},
+		{"vectorized", 0},
+		{"row", opt.RowEngine},
 	} {
 		t.Run(engine.name, func(t *testing.T) {
-			s := newObsSession(t, engine.cfg, 50_000)
+			s := newObsSession(t, Config{TablePartitions: 8}, engine.ablate, 50_000)
 			for _, q := range queries {
 				ref, err := s.MustSQL(q).Collect()
 				if err != nil {
@@ -99,7 +101,7 @@ func TestExplainAnalyzeMatchesCollect(t *testing.T) {
 // TestExplainAnalyzeDataFrame exercises the DataFrame entry point directly
 // and checks the query-level summary footer rides along.
 func TestExplainAnalyzeDataFrame(t *testing.T) {
-	s := newObsSession(t, Config{TablePartitions: 4}, 10_000)
+	s := newObsSession(t, Config{TablePartitions: 4}, 0, 10_000)
 	out, err := s.MustSQL("SELECT val, SUM(id) FROM t GROUP BY val").ExplainAnalyze(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +119,7 @@ func TestExplainAnalyzeDataFrame(t *testing.T) {
 // only its own execution while the registry's totals reconcile across all
 // of them.
 func TestObservabilityConcurrentQueryIsolation(t *testing.T) {
-	s := newObsSession(t, Config{TablePartitions: 8, Parallelism: 4}, 50_000)
+	s := newObsSession(t, Config{TablePartitions: 8, Parallelism: 4}, 0, 50_000)
 	stmt, err := s.Prepare("SELECT id FROM t WHERE val < ?")
 	if err != nil {
 		t.Fatal(err)
@@ -207,15 +209,17 @@ func TestObservabilityConcurrentQueryIsolation(t *testing.T) {
 	}
 }
 
-// TestTraceRingBounded: the trace ring retains at most TraceCapacity
-// events, reports drops, still answers per-query lookups for recent
-// queries, and owns no goroutines.
+// TestTraceRingBounded: the trace ring retains at most
+// obs.DefaultTraceCapacity events, reports drops, still answers per-query
+// lookups for recent queries, and owns no goroutines.
 func TestTraceRingBounded(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	const capacity = 32
-	s := newObsSession(t, Config{TablePartitions: 4, TraceCapacity: capacity}, 1_000)
+	const capacity = obs.DefaultTraceCapacity
+	s := newObsSession(t, Config{TablePartitions: 4}, 0, 1_000)
 	var lastID string
-	for i := 0; i < 20; i++ {
+	// Every query records at least a plan and a close event, so this
+	// many queries wrap the ring.
+	for i := 0; i < capacity; i++ {
 		rows, err := s.Query(context.Background(), "SELECT COUNT(*) FROM t")
 		if err != nil {
 			t.Fatal(err)
@@ -230,7 +234,7 @@ func TestTraceRingBounded(t *testing.T) {
 		t.Fatalf("ring retained %d events, capacity %d", len(evs), capacity)
 	}
 	if v, _ := s.Metrics().Value("indexeddf_trace_events_dropped_total"); v == 0 {
-		t.Fatal("20 queries × several events never wrapped a 32-event ring")
+		t.Fatalf("%d queries never wrapped a %d-event ring", capacity, capacity)
 	}
 	mine := s.TraceEventsFor(lastID)
 	if len(mine) == 0 {
@@ -306,7 +310,7 @@ func TestSlowQueryLogFires(t *testing.T) {
 // TestMetricsExposition: the registry renders valid Prometheus text with
 // the engine's metric families present.
 func TestMetricsExposition(t *testing.T) {
-	s := newObsSession(t, Config{TablePartitions: 4}, 1_000)
+	s := newObsSession(t, Config{TablePartitions: 4}, 0, 1_000)
 	if _, err := s.MustSQL("SELECT COUNT(*) FROM t").Collect(); err != nil {
 		t.Fatal(err)
 	}

@@ -646,7 +646,7 @@ func TestConcurrentCursors(t *testing.T) {
 // materialized view defined over it and turns change capture off
 // (regression for the view/capture leak).
 func TestDropTableDropsDependentViews(t *testing.T) {
-	s, df := newViewSession(t, 1_000, Config{})
+	s, df := newViewSession(t, 1_000, 0)
 	if _, err := s.CreateMaterializedView("by_region", salesAggSQL); err != nil {
 		t.Fatal(err)
 	}

@@ -324,7 +324,7 @@ func TestOrderByCancelsMidPartition(t *testing.T) {
 func TestIngestViewRefreshFault(t *testing.T) {
 	defer faultpoint.Reset()
 	testutil.CheckGoroutines(t)
-	s, _ := newViewSession(t, 20, Config{})
+	s, _ := newViewSession(t, 20, 0)
 	mv, err := s.CreateMaterializedView("v", salesAggSQL)
 	if err != nil {
 		t.Fatal(err)
@@ -393,7 +393,7 @@ func TestIngestViewRefreshFault(t *testing.T) {
 // any row of the failing batch lands, so the applied count stays exact.
 func TestIngestAppendFault(t *testing.T) {
 	defer faultpoint.Reset()
-	s, _ := newViewSession(t, 10, Config{})
+	s, _ := newViewSession(t, 10, 0)
 	topic := stream.NewTopic("sales-updates", 3)
 	for i := 0; i < 40; i++ {
 		row := R(int64(100+i), "emea", int64(i))

@@ -34,41 +34,24 @@ import (
 type Config struct {
 	// Parallelism is the task pool width (default GOMAXPROCS).
 	Parallelism int
-	// ShufflePartitions is the reduce-side partition count (default 4).
+	// ShufflePartitions is the reduce-side partition count, and the
+	// width of a spilled sort's range-partitioned merge (default 4).
 	ShufflePartitions int
 	// BroadcastThreshold is the row estimate under which join sides are
 	// broadcast (default 10000).
 	BroadcastThreshold int64
-	// SortPartitions is the partition count for a vectorized sort's final
-	// merge stage when out-of-core execution is enabled (the
-	// range-partitioned parallel merge). 0 follows ShufflePartitions;
-	// 1 forces the single k-way merge task (the ablation baseline).
-	// Without a SpillDir the knob is inert — the merge is always single.
-	SortPartitions int
 	// TablePartitions is the partition count for created tables and
 	// indexes (default 4).
 	TablePartitions int
 	// IndexBatchSize is the row-batch size for indexed tables in bytes
 	// (default 4 MB, the paper's value).
 	IndexBatchSize int
-	// DisableVectorized forces row-at-a-time execution, turning off the
-	// batch-at-a-time operator rewrite (benchmarks compare both engines).
-	DisableVectorized bool
-	// DisableViewRewrite stops the planner answering aggregations from
-	// materialized views, forcing from-scratch computation (the escape
-	// hatch mirroring DisableVectorized; equivalence tests and benchmarks
-	// compare both paths). Views can still be created, refreshed and
-	// queried by name.
-	DisableViewRewrite bool
 	// QueryTimeout is the session-wide default deadline applied to every
 	// query started without one of its own (Query, Collect, Stmt.Query).
 	// Zero means no timeout. Expiry cancels the query's remaining
 	// partition tasks and surfaces context.DeadlineExceeded from
 	// Rows.Err().
 	QueryTimeout time.Duration
-	// PlanCacheSize bounds the session's LRU cache of compiled prepared
-	// statements, keyed on normalized SQL (default 128 entries).
-	PlanCacheSize int
 	// MemoryLimit bounds the engine-wide bytes queries may hold in
 	// materialized state (shuffle buckets, hash-aggregate tables, sort
 	// runs, top-n stores, cursor slot buffers). Zero means unbounded. A
@@ -89,9 +72,6 @@ type Config struct {
 	// engages for queries that carry a memory budget (MemoryLimit or
 	// QueryMemoryLimit set); unbudgeted sessions never touch the disk.
 	SpillDir string
-	// TraceCapacity bounds the session's query-trace ring buffer in events
-	// (default obs.DefaultTraceCapacity). Oldest events are overwritten.
-	TraceCapacity int
 	// SlowQueryThreshold, when positive, marks any query whose wall time
 	// meets or exceeds it as slow: SlowQueryLog fires with the finished
 	// query's annotated plan and indexeddf_queries_slow_total increments.
@@ -100,19 +80,6 @@ type Config struct {
 	// synchronously from the cursor's shutdown path — keep it fast, or hand
 	// off to a channel. Ignored when SlowQueryThreshold is zero.
 	SlowQueryLog func(SlowQuery)
-	// DisableStats turns off table statistics: no incremental collection
-	// on created tables (appends skip the per-row accumulator work) and
-	// no statistics-driven planning — cost estimates fall back to the
-	// structural defaults and the plan-time conjunct reorder rule is
-	// skipped. ANALYZE TABLE still works, building statistics on demand
-	// for its table, but the planner ignores them while this is set.
-	DisableStats bool
-	// DisableAdaptiveFilter turns off runtime conjunct re-ranking inside
-	// vectorized filters: multi-conjunct predicates evaluate as a single
-	// fused kernel in plan order instead of a self-reordering cascade
-	// (benchmarks compare both; the cascade also short-circuits, so this
-	// ablation isolates the full win of the adaptive path).
-	DisableAdaptiveFilter bool
 }
 
 func (c Config) withDefaults() Config {
@@ -132,6 +99,7 @@ func (c Config) withDefaults() Config {
 // and the planner. Safe for concurrent use.
 type Session struct {
 	cfg     Config
+	ablate  opt.Ablation // strategies switched off (tests only)
 	ctx     *rdd.Context
 	planner *opt.Planner
 
@@ -165,7 +133,10 @@ type Session struct {
 }
 
 // NewSession creates a Session.
-func NewSession(cfg Config) *Session {
+func NewSession(cfg Config) *Session { return newSession(cfg, 0) }
+
+// newSession creates a Session with the strategies in ablate switched off.
+func newSession(cfg Config, ablate opt.Ablation) *Session {
 	cfg = cfg.withDefaults()
 	var ctxOpts []rdd.Option
 	if cfg.Parallelism > 0 {
@@ -179,22 +150,19 @@ func NewSession(cfg Config) *Session {
 	views := catalog.NewViewRegistry()
 	pool := memory.NewPool(cfg.MemoryLimit)
 	s := &Session{
-		cfg:   cfg,
-		mem:   pool,
-		spill: spillMgr,
-		ctx:   rdd.NewContext(ctxOpts...),
+		cfg:    cfg,
+		ablate: ablate,
+		mem:    pool,
+		spill:  spillMgr,
+		ctx:    rdd.NewContext(ctxOpts...),
 		planner: opt.NewPlanner(opt.PlannerConfig{
-			ShufflePartitions:     cfg.ShufflePartitions,
-			BroadcastThreshold:    cfg.BroadcastThreshold,
-			SortPartitions:        cfg.SortPartitions,
-			DisableVectorized:     cfg.DisableVectorized,
-			Views:                 views,
-			DisableViewRewrite:    cfg.DisableViewRewrite,
-			DisableStats:          cfg.DisableStats,
-			DisableAdaptiveFilter: cfg.DisableAdaptiveFilter,
+			ShufflePartitions:  cfg.ShufflePartitions,
+			BroadcastThreshold: cfg.BroadcastThreshold,
+			Views:              views,
+			Ablate:             ablate,
 		}),
 		views:  views,
-		plans:  newPlanCache(cfg.PlanCacheSize, pool),
+		plans:  newPlanCache(pool),
 		tables: make(map[string]catalog.Table),
 	}
 	s.initObservability()
@@ -228,7 +196,7 @@ func (s *Session) CreateTable(name string, schema *sqltypes.Schema, rows []sqlty
 		parts[i%n] = append(parts[i%n], r)
 	}
 	t := catalog.NewColumnTable(name, schema, parts)
-	if !s.cfg.DisableStats {
+	if !s.ablate.Has(opt.NoStats) {
 		t.EnableStats()
 	}
 	if err := s.register(name, t); err != nil {
@@ -248,7 +216,7 @@ func (s *Session) CreateIndexedTable(name string, schema *sqltypes.Schema, keyCo
 		return nil, err
 	}
 	t := catalog.NewIndexedTable(name, ct)
-	if !s.cfg.DisableStats {
+	if !s.ablate.Has(opt.NoStats) {
 		t.EnableStats()
 	}
 	if err := s.register(name, t); err != nil {
@@ -258,9 +226,9 @@ func (s *Session) CreateIndexedTable(name string, schema *sqltypes.Schema, keyCo
 }
 
 // AnalyzeTable recomputes a table's statistics from a full scan,
-// enabling collection for that table even when Config.DisableStats
+// enabling collection for that table even when the NoStats ablation
 // turned automatic collection off (the planner still ignores the
-// result while stats are disabled). It heals the invalidation a Delete
+// result under that ablation). It heals the invalidation a Delete
 // causes: incremental statistics cannot un-observe rows, so deleting
 // invalidates them until the next ANALYZE.
 func (s *Session) AnalyzeTable(name string) error {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"indexeddf"
+	"indexeddf/internal/opt"
 )
 
 // The columnar exchange must be invisible except for speed: any plan with
@@ -54,18 +55,17 @@ func shuffleTrialData(rng *rand.Rand, tr shuffleTrial) ([]indexeddf.Row, *indexe
 	return rows, schema
 }
 
-func shuffleTrialSession(t *testing.T, tr shuffleTrial, seed int64, rowEngine bool) *indexeddf.Session {
+func shuffleTrialSession(t *testing.T, tr shuffleTrial, seed int64, ablate opt.Ablation) *indexeddf.Session {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	facts, fschema := shuffleTrialData(rng, tr)
 	dims, dschema := dimData(rng, 10)
-	sess := indexeddf.NewSession(indexeddf.Config{
-		DisableVectorized: rowEngine,
+	sess := indexeddf.NewAblatedSession(indexeddf.Config{
 		TablePartitions:   tr.tableParts,
 		ShufflePartitions: tr.shufParts,
 		// Force the shuffle join strategies (no broadcast shortcut).
 		BroadcastThreshold: 1,
-	})
+	}, ablate)
 	fdf, err := sess.CreateTable("facts", fschema, facts)
 	if err != nil {
 		t.Fatal(err)
@@ -141,8 +141,8 @@ func TestBatchExchangeMatchesRowExchange(t *testing.T) {
 		for qname, q := range queries {
 			t.Run(fmt.Sprintf("%s/%s", tr.name, qname), func(t *testing.T) {
 				seed := int64(1000 + ti)
-				rowSess := shuffleTrialSession(t, tr, seed, true)
-				vecSess := shuffleTrialSession(t, tr, seed, false)
+				rowSess := shuffleTrialSession(t, tr, seed, opt.RowEngine)
+				vecSess := shuffleTrialSession(t, tr, seed, 0)
 				want := runQuery(t, rowSess, q)
 				got := runQuery(t, vecSess, q)
 				if len(want) != len(got) {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"indexeddf"
+	"indexeddf/internal/opt"
 )
 
 // The batch sort pipeline (typed-lane key extraction, index sort, sorted
@@ -97,8 +98,8 @@ func TestVecSortMatchesRowSort(t *testing.T) {
 		for qname, q := range queries {
 			t.Run(fmt.Sprintf("%s/%s", tr.name, qname), func(t *testing.T) {
 				seed := int64(4000 + ti)
-				rowSess := shuffleTrialSession(t, tr, seed, true)
-				vecSess := shuffleTrialSession(t, tr, seed, false)
+				rowSess := shuffleTrialSession(t, tr, seed, opt.RowEngine)
+				vecSess := shuffleTrialSession(t, tr, seed, 0)
 				want := runQueryOrdered(t, rowSess, q)
 				got := runQueryOrdered(t, vecSess, q)
 				if len(want) != len(got) {
@@ -120,8 +121,8 @@ func TestTopNMatchesRowSortLimit(t *testing.T) {
 		for _, n := range limits {
 			t.Run(fmt.Sprintf("%s/limit-%d", tr.name, n), func(t *testing.T) {
 				seed := int64(8000 + ti)
-				rowSess := shuffleTrialSession(t, tr, seed, true)
-				vecSess := shuffleTrialSession(t, tr, seed, false)
+				rowSess := shuffleTrialSession(t, tr, seed, opt.RowEngine)
+				vecSess := shuffleTrialSession(t, tr, seed, 0)
 				q := func(s *indexeddf.Session) (*indexeddf.DataFrame, error) {
 					return s.SQL(fmt.Sprintf("SELECT id, grp, val, tag FROM facts ORDER BY val, tag DESC LIMIT %d", n))
 				}
@@ -144,8 +145,8 @@ func TestTopNMatchesRowSortLimit(t *testing.T) {
 // engines: NULLs first ascending, last descending (DESC flips the whole
 // comparison, like sqltypes.Compare under the row sort).
 func TestVecSortNullsOrdering(t *testing.T) {
-	for _, rowEngine := range []bool{true, false} {
-		sess := indexeddf.NewSession(indexeddf.Config{DisableVectorized: rowEngine, TablePartitions: 2})
+	for _, ablate := range []opt.Ablation{opt.RowEngine, 0} {
+		sess := indexeddf.NewAblatedSession(indexeddf.Config{TablePartitions: 2}, ablate)
 		schema := indexeddf.NewSchema(
 			indexeddf.Field{Name: "id", Type: indexeddf.Int64},
 			indexeddf.Field{Name: "v", Type: indexeddf.Int64, Nullable: true},
@@ -176,15 +177,15 @@ func TestVecSortNullsOrdering(t *testing.T) {
 		}
 		asc := ids("SELECT id, v FROM t ORDER BY v, id")
 		if fmt.Sprint(asc) != "[1 3 2 0]" {
-			t.Fatalf("rowEngine=%v: ASC null ordering got %v, want [1 3 2 0]", rowEngine, asc)
+			t.Fatalf("ablate=%d: ASC null ordering got %v, want [1 3 2 0]", ablate, asc)
 		}
 		desc := ids("SELECT id, v FROM t ORDER BY v DESC, id")
 		if fmt.Sprint(desc) != "[0 2 1 3]" {
-			t.Fatalf("rowEngine=%v: DESC null ordering got %v, want [0 2 1 3]", rowEngine, desc)
+			t.Fatalf("ablate=%d: DESC null ordering got %v, want [0 2 1 3]", ablate, desc)
 		}
 		topn := ids("SELECT id, v FROM t ORDER BY v, id LIMIT 2")
 		if fmt.Sprint(topn) != "[1 3]" {
-			t.Fatalf("rowEngine=%v: top-n null ordering got %v, want [1 3]", rowEngine, topn)
+			t.Fatalf("ablate=%d: top-n null ordering got %v, want [1 3]", ablate, topn)
 		}
 	}
 }
@@ -194,8 +195,8 @@ func TestVecSortNullsOrdering(t *testing.T) {
 // batch path (VecViewScan feeding VecSort/VecTopN).
 func TestVecSortOverViewScan(t *testing.T) {
 	// Views require an indexed base table; buildSession keys facts on grp.
-	rowSess := buildSession(t, indexeddf.Config{DisableVectorized: true}, true)
-	vecSess := buildSession(t, indexeddf.Config{}, true)
+	rowSess := buildSession(t, indexeddf.Config{}, opt.RowEngine, true)
+	vecSess := buildSession(t, indexeddf.Config{}, 0, true)
 	const viewDef = "CREATE MATERIALIZED VIEW by_grp AS SELECT grp, SUM(val) AS s, COUNT(*) AS c FROM facts GROUP BY grp"
 	for _, s := range []*indexeddf.Session{rowSess, vecSess} {
 		if _, err := s.SQL(viewDef); err != nil {
@@ -239,7 +240,7 @@ func TestVecSortOverViewScan(t *testing.T) {
 // cross-cursor interference.
 func TestVecSortConcurrentCursors(t *testing.T) {
 	tr := shuffleTrial{name: "conc", rows: 8_000, groups: 200, nullFrac: 7, tableParts: 6, shufParts: 4}
-	sess := shuffleTrialSession(t, tr, 77, false)
+	sess := shuffleTrialSession(t, tr, 77, 0)
 	ref := runQueryOrdered(t, sess, func(s *indexeddf.Session) (*indexeddf.DataFrame, error) {
 		df, err := s.Table("facts")
 		if err != nil {
@@ -293,7 +294,7 @@ func TestVecSortConcurrentCursors(t *testing.T) {
 // bounded merge path) under the race detector.
 func TestTopNConcurrentCursors(t *testing.T) {
 	tr := shuffleTrial{name: "conc-topn", rows: 8_000, groups: 200, nullFrac: 7, tableParts: 6, shufParts: 4}
-	sess := shuffleTrialSession(t, tr, 78, false)
+	sess := shuffleTrialSession(t, tr, 78, 0)
 	ref := runQueryOrdered(t, sess, func(s *indexeddf.Session) (*indexeddf.DataFrame, error) {
 		return s.SQL("SELECT id, val FROM facts ORDER BY val DESC, id LIMIT 50")
 	})

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"indexeddf/internal/obs"
+	"indexeddf/internal/opt"
 	"indexeddf/internal/testutil"
 )
 
@@ -534,8 +535,8 @@ func TestSpillJoinHotBuildKey(t *testing.T) {
 }
 
 // TestSpillSortParallelAblation: the same over-budget sort through the
-// range-partitioned parallel merge (SortPartitions=4), the single k-way
-// merge (SortPartitions=1, PR 8's shape), and the unconstrained
+// range-partitioned parallel merge (ShufflePartitions=4), the single k-way
+// merge (the SingleMerge ablation), and the unconstrained
 // in-memory path — three plans, one bit-identical answer. The parallel
 // plan's sort carries its partition count.
 func TestSpillSortParallelAblation(t *testing.T) {
@@ -548,8 +549,7 @@ func TestSpillSortParallelAblation(t *testing.T) {
 	singleCfg := base
 	singleCfg.QueryMemoryLimit = limit
 	singleCfg.SpillDir = t.TempDir()
-	singleCfg.SortPartitions = 1
-	singleSess := NewSession(singleCfg)
+	singleSess := newSession(singleCfg, opt.SingleMerge)
 	t.Cleanup(func() {
 		if err := singleSess.Close(); err != nil {
 			t.Errorf("Session.Close: %v", err)
@@ -571,6 +571,42 @@ func TestSpillSortParallelAblation(t *testing.T) {
 	plan := explainAnalyze(t, parSess, q)
 	if !strings.Contains(plan, "partitions=4") {
 		t.Fatalf("parallel sort partition count not annotated in plan:\n%s", plan)
+	}
+}
+
+// TestSpillSortPreparedKeepsParallel: binding a prepared statement's
+// arguments rebuilds every plan node above the placeholder, the sort
+// included. The rebuilt sort must keep the planner's range-merge width,
+// so the prepared query runs the same parallel merge as its ad-hoc twin.
+func TestSpillSortPreparedKeepsParallel(t *testing.T) {
+	s := newObsSession(t, Config{QueryMemoryLimit: 1 << 20, SpillDir: t.TempDir()}, 0, 10_000)
+	t.Cleanup(func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("Session.Close: %v", err)
+		}
+	})
+	const q = "SELECT id, val FROM t WHERE val < %s ORDER BY val, id"
+	analyze := func(rows *Rows, err error) (out []Row, plan string) {
+		t.Helper()
+		if err == nil {
+			out, err = drainRows(rows)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, rows.AnalyzeString()
+	}
+	want, adHoc := analyze(s.Query(context.Background(), fmt.Sprintf(q, "50")))
+	st, err := s.Prepare(fmt.Sprintf(q, "?"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, prepared := analyze(st.Query(context.Background(), 50))
+	wantSameRows(t, got, want, true)
+	for name, plan := range map[string]string{"ad hoc": adHoc, "prepared": prepared} {
+		if !strings.Contains(plan, "partitions=4") {
+			t.Errorf("%s sort did not run the 4-way range merge:\n%s", name, plan)
+		}
 	}
 }
 

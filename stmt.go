@@ -206,7 +206,6 @@ type planEntry struct {
 // plan.
 type planCache struct {
 	mu      sync.Mutex
-	cap     int
 	gen     int64      // bumped by purge
 	order   *list.List // front = most recently used; values are *planCacheItem
 	entries map[string]*list.Element
@@ -218,6 +217,9 @@ type planCache struct {
 	hits, misses int64
 }
 
+// planCacheSize bounds the LRU in entries.
+const planCacheSize = 128
+
 // planEntryBytes is the flat accounting estimate for one cached compiled
 // plan (operator tree, schemas, referenced-table metadata).
 const planEntryBytes = 32 << 10
@@ -227,11 +229,8 @@ type planCacheItem struct {
 	ent *planEntry
 }
 
-func newPlanCache(capacity int, pool *memory.Pool) *planCache {
-	if capacity <= 0 {
-		capacity = 128
-	}
-	return &planCache{cap: capacity, order: list.New(), entries: make(map[string]*list.Element), pool: pool}
+func newPlanCache(pool *memory.Pool) *planCache {
+	return &planCache{order: list.New(), entries: make(map[string]*list.Element), pool: pool}
 }
 
 // getGen looks the key up, also returning the cache generation observed so
@@ -266,7 +265,7 @@ func (c *planCache) putAt(key string, ent *planEntry, gen int64) {
 		return // pool saturated: run uncached rather than fail the query
 	}
 	c.entries[key] = c.order.PushFront(&planCacheItem{key: key, ent: ent})
-	for c.order.Len() > c.cap {
+	for c.order.Len() > planCacheSize {
 		last := c.order.Back()
 		c.order.Remove(last)
 		delete(c.entries, last.Value.(*planCacheItem).key)

@@ -7,11 +7,12 @@ import (
 	"testing"
 
 	"indexeddf"
+	"indexeddf/internal/opt"
 )
 
 // The vectorized engine must be invisible except for speed: every query
 // returns exactly the row-at-a-time engine's result. These tests run the
-// same workloads through both planners (DisableVectorized on/off) on both
+// same workloads through both planners (with and without the RowEngine ablation) on both
 // table kinds (vanilla columnar-cached and Indexed DataFrame) and compare.
 
 type vecEnv struct {
@@ -63,12 +64,12 @@ func dimData(rng *rand.Rand, n int) ([]indexeddf.Row, *indexeddf.Schema) {
 
 // buildSession loads the same data as either a cached vanilla table or an
 // indexed table (keyed on grp for facts, gid for dims).
-func buildSession(t *testing.T, cfg indexeddf.Config, indexed bool) *indexeddf.Session {
+func buildSession(t *testing.T, cfg indexeddf.Config, ablate opt.Ablation, indexed bool) *indexeddf.Session {
 	t.Helper()
 	rng := rand.New(rand.NewSource(99))
 	facts, fschema := vecTestData(rng, 5000)
 	dims, dschema := dimData(rng, 20)
-	sess := indexeddf.NewSession(cfg)
+	sess := indexeddf.NewAblatedSession(cfg, ablate)
 	if indexed {
 		fdf, err := sess.CreateIndexedTable("facts", fschema, 1)
 		if err != nil {
@@ -285,8 +286,8 @@ func TestVectorizedMatchesRowEngine(t *testing.T) {
 			for name, q := range queries {
 				label := fmt.Sprintf("%s/indexed=%v/bt=%d", name, indexed, broadcast)
 				t.Run(label, func(t *testing.T) {
-					rowSess := buildSession(t, indexeddf.Config{DisableVectorized: true, BroadcastThreshold: broadcast}, indexed)
-					vecSess := buildSession(t, indexeddf.Config{BroadcastThreshold: broadcast}, indexed)
+					rowSess := buildSession(t, indexeddf.Config{BroadcastThreshold: broadcast}, opt.RowEngine, indexed)
+					vecSess := buildSession(t, indexeddf.Config{BroadcastThreshold: broadcast}, 0, indexed)
 					want := runQuery(t, rowSess, q)
 					got := runQuery(t, vecSess, q)
 					if len(want) != len(got) {

@@ -5,14 +5,15 @@ import (
 	"testing"
 
 	"indexeddf"
+	"indexeddf/internal/opt"
 )
 
 // TestVectorizedPlanShapes guards the planner wiring: hot operators must
 // actually lower to their vectorized forms (a silent fallback to the row
 // path would keep results correct but forfeit the speedup).
 func TestVectorizedPlanShapes(t *testing.T) {
-	sess := buildSession(t, indexeddf.Config{}, false)
-	ixSess := buildSession(t, indexeddf.Config{}, true)
+	sess := buildSession(t, indexeddf.Config{}, 0, false)
+	ixSess := buildSession(t, indexeddf.Config{}, 0, true)
 
 	explain := func(s *indexeddf.Session, build func(*indexeddf.Session) (*indexeddf.DataFrame, error)) string {
 		df, err := build(s)
@@ -230,20 +231,20 @@ func TestVectorizedPlanShapes(t *testing.T) {
 		t.Errorf("point-lookup-rooted plan must stay row-at-a-time:\n%s", plan)
 	}
 
-	// DisableVectorized turns the rewrite off entirely — including the
+	// The RowEngine ablation turns the rewrite off entirely — including the
 	// sort/top-n lowering (the logical TopN still lowers to Sort + Limit).
-	rowSess := buildSession(t, indexeddf.Config{DisableVectorized: true}, false)
+	rowSess := buildSession(t, indexeddf.Config{}, opt.RowEngine, false)
 	plan = explain(rowSess, filterAgg)
 	if strings.Contains(plan, "Vec") {
-		t.Errorf("DisableVectorized plan contains vectorized operators:\n%s", plan)
+		t.Errorf("RowEngine plan contains vectorized operators:\n%s", plan)
 	}
 	plan = explain(rowSess, topN)
 	if strings.Contains(plan, "Vec") {
-		t.Errorf("DisableVectorized top-n plan contains vectorized operators:\n%s", plan)
+		t.Errorf("RowEngine top-n plan contains vectorized operators:\n%s", plan)
 	}
 	for _, want := range []string{"Limit 100", "Sort ["} {
 		if !strings.Contains(plan, want) {
-			t.Errorf("DisableVectorized top-n plan missing %s:\n%s", want, plan)
+			t.Errorf("RowEngine top-n plan missing %s:\n%s", want, plan)
 		}
 	}
 }

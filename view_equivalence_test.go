@@ -31,8 +31,7 @@ func (s *Session) aggregateWithoutViews(query string) ([]Row, error) {
 	pl := opt.NewPlanner(opt.PlannerConfig{
 		ShufflePartitions:  s.cfg.ShufflePartitions,
 		BroadcastThreshold: s.cfg.BroadcastThreshold,
-		DisableVectorized:  s.cfg.DisableVectorized,
-		DisableViewRewrite: true,
+		Ablate:             s.ablate | opt.NoViewRewrite,
 	})
 	exec, err := pl.Plan(optimized)
 	if err != nil {
@@ -90,7 +89,7 @@ func TestViewRandomizedEquivalence(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			s, df := newViewSession(t, 30, Config{})
+			s, df := newViewSession(t, 30, 0)
 			for i, q := range queries {
 				if _, err := s.SQL(fmt.Sprintf("CREATE MATERIALIZED VIEW v%d AS %s", i, q)); err != nil {
 					t.Fatal(err)
@@ -168,7 +167,7 @@ func TestViewRandomizedEquivalence(t *testing.T) {
 // asserts the quiescent state equals a from-scratch recomputation.
 func TestViewConcurrentAppendersAndRefresh(t *testing.T) {
 	const q = "SELECT region, COUNT(*) AS cnt, SUM(amount) AS total FROM sales GROUP BY region"
-	s, df := newViewSession(t, 10, Config{})
+	s, df := newViewSession(t, 10, 0)
 	if _, err := s.SQL("CREATE MATERIALIZED VIEW v AS " + q); err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"indexeddf/internal/opt"
 	"indexeddf/internal/stream"
 	"indexeddf/internal/testutil"
 )
@@ -21,9 +22,9 @@ func salesSchema() *Schema {
 
 // newViewSession returns a session with an indexed "sales" table of n rows
 // (id indexed; region one of 4 values; amount = id*10).
-func newViewSession(t *testing.T, n int, cfg Config) (*Session, *DataFrame) {
+func newViewSession(t *testing.T, n int, ablate opt.Ablation) (*Session, *DataFrame) {
 	t.Helper()
-	s := NewSession(cfg)
+	s := newSession(Config{}, ablate)
 	df, err := s.CreateIndexedTable("sales", salesSchema(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +60,7 @@ func collectSorted(t *testing.T, s *Session, q string) []Row {
 const salesAggSQL = "SELECT region, COUNT(*) AS cnt, SUM(amount) AS total FROM sales GROUP BY region"
 
 func TestCreateMaterializedViewSQLAndRewrite(t *testing.T) {
-	s, df := newViewSession(t, 100, Config{})
+	s, df := newViewSession(t, 100, 0)
 	want := collectSorted(t, s, salesAggSQL)
 
 	rows, err := s.MustSQL("CREATE MATERIALIZED VIEW sales_by_region AS " + salesAggSQL).Collect()
@@ -108,7 +109,7 @@ func TestCreateMaterializedViewSQLAndRewrite(t *testing.T) {
 }
 
 func TestViewRewriteDisabled(t *testing.T) {
-	s, _ := newViewSession(t, 50, Config{DisableViewRewrite: true})
+	s, _ := newViewSession(t, 50, opt.NoViewRewrite)
 	if _, err := s.SQL("CREATE MATERIALIZED VIEW v AS " + salesAggSQL); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestViewRewriteDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	if strings.Contains(explain, "ViewScan") {
-		t.Fatalf("DisableViewRewrite ignored:\n%s", explain)
+		t.Fatalf("NoViewRewrite ignored:\n%s", explain)
 	}
 	if !strings.Contains(explain, "HashAggregate") {
 		t.Fatalf("expected from-scratch aggregate:\n%s", explain)
@@ -130,7 +131,7 @@ func TestViewRewriteDisabled(t *testing.T) {
 }
 
 func TestSelectFromViewByName(t *testing.T) {
-	s, _ := newViewSession(t, 80, Config{})
+	s, _ := newViewSession(t, 80, 0)
 	if _, err := s.SQL("CREATE MATERIALIZED VIEW v AS " + salesAggSQL); err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestSelectFromViewByName(t *testing.T) {
 }
 
 func TestViewWithWhereAndHaving(t *testing.T) {
-	s, _ := newViewSession(t, 120, Config{})
+	s, _ := newViewSession(t, 120, 0)
 	def := "SELECT region, SUM(amount) AS total FROM sales WHERE amount > 100 GROUP BY region"
 	if _, err := s.SQL("CREATE MATERIALIZED VIEW big_sales AS " + def); err != nil {
 		t.Fatal(err)
@@ -178,7 +179,7 @@ func TestViewWithWhereAndHaving(t *testing.T) {
 }
 
 func TestDropAndRefreshMaterializedViewSQL(t *testing.T) {
-	s, df := newViewSession(t, 40, Config{})
+	s, df := newViewSession(t, 40, 0)
 	if _, err := s.SQL("CREATE MATERIALIZED VIEW v AS " + salesAggSQL); err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestDropAndRefreshMaterializedViewSQL(t *testing.T) {
 }
 
 func TestCreateViewRejectsUnsupportedQueries(t *testing.T) {
-	s, _ := newViewSession(t, 10, Config{})
+	s, _ := newViewSession(t, 10, 0)
 	for _, q := range []string{
 		"CREATE MATERIALIZED VIEW bad1 AS SELECT id, region FROM sales",                                 // no aggregation
 		"CREATE MATERIALIZED VIEW bad2 AS SELECT region, COUNT(*) c FROM sales GROUP BY region LIMIT 1", // limit
@@ -243,7 +244,7 @@ func TestCreateViewRejectsUnsupportedQueries(t *testing.T) {
 func TestViewCompactRegression(t *testing.T) {
 	// Compaction must not break a view's delta cursor: the view detects
 	// the change-log gap and fully recomputes, staying value-identical.
-	s, df := newViewSession(t, 60, Config{})
+	s, df := newViewSession(t, 60, 0)
 	if _, err := s.SQL("CREATE MATERIALIZED VIEW v AS " + salesAggSQL); err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +303,7 @@ func freshAggregate(t *testing.T, s *Session) []Row {
 
 func TestStreamIngestKeepsViewFresh(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	s, _ := newViewSession(t, 20, Config{})
+	s, _ := newViewSession(t, 20, 0)
 	v, err := s.CreateMaterializedView("v", salesAggSQL)
 	if err != nil {
 		t.Fatal(err)
