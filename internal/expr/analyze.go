@@ -165,27 +165,6 @@ func MaxOrdinal(e Expr) int {
 	return max
 }
 
-// EqualityWithLiteral recognizes the pattern the index-aware rules look
-// for: `col = literal` (either operand order). It returns the bound column
-// and the literal value.
-func EqualityWithLiteral(e Expr) (col *Bound, lit sqltypes.Value, ok bool) {
-	c, isCmp := e.(*Cmp)
-	if !isCmp || c.Op != Eq {
-		return nil, sqltypes.Null, false
-	}
-	if b, okL := c.L.(*Bound); okL {
-		if l, okR := c.R.(*Literal); okR {
-			return b, l.V, true
-		}
-	}
-	if b, okR := c.R.(*Bound); okR {
-		if l, okL := c.L.(*Literal); okL {
-			return b, l.V, true
-		}
-	}
-	return nil, sqltypes.Null, false
-}
-
 // ColumnEquality recognizes `bound = bound` equi-join conditions, returning
 // both sides.
 func ColumnEquality(e Expr) (l, r *Bound, ok bool) {

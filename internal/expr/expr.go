@@ -31,8 +31,13 @@ type Expr interface {
 // ---------------------------------------------------------------------------
 // Literal
 
-// Literal is a constant value.
-type Literal struct{ V sqltypes.Value }
+// Literal is a constant value. T types a NULL bound into a typed
+// placeholder slot (see Param.Bind); every other literal has its value's
+// type.
+type Literal struct {
+	V sqltypes.Value
+	T sqltypes.Type
+}
 
 // Lit builds a literal expression.
 func Lit(v sqltypes.Value) *Literal { return &Literal{V: v} }
@@ -49,9 +54,14 @@ func (l *Literal) String() string {
 	}
 	return l.V.String()
 }
-func (l *Literal) Type() sqltypes.Type { return l.V.T }
-func (l *Literal) Resolved() bool      { return true }
-func (l *Literal) Children() []Expr    { return nil }
+func (l *Literal) Type() sqltypes.Type {
+	if l.V.IsNull() {
+		return l.T
+	}
+	return l.V.T
+}
+func (l *Literal) Resolved() bool   { return true }
+func (l *Literal) Children() []Expr { return nil }
 func (l *Literal) WithChildren(c []Expr) (Expr, error) {
 	if len(c) != 0 {
 		return nil, fmt.Errorf("expr: literal takes no children")

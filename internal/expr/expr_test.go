@@ -261,22 +261,68 @@ func TestShift(t *testing.T) {
 	}
 }
 
-func TestEqualityWithLiteral(t *testing.T) {
+func TestEqualityWithKeyConst(t *testing.T) {
 	s := testSchema()
 	e := mustBind(t, NewCmp(Eq, C("id"), LitInt64(9)), s)
-	col, lit, ok := EqualityWithLiteral(e)
-	if !ok || col.Ordinal != 0 || lit != sqltypes.NewInt64(9) {
-		t.Errorf("EqualityWithLiteral = %v %v %v", col, lit, ok)
+	col, key, ok := EqualityWithKeyConst(e)
+	if lit, isLit := key.(*Literal); !ok || col.Ordinal != 0 || !isLit || lit.V != sqltypes.NewInt64(9) {
+		t.Errorf("EqualityWithKeyConst = %v %v %v", col, key, ok)
 	}
-	// Reversed operands.
-	e2 := mustBind(t, NewCmp(Eq, LitInt64(9), C("id")), s)
-	if _, _, ok := EqualityWithLiteral(e2); !ok {
-		t.Error("reversed equality not recognized")
+	// Reversed operands, and a placeholder key.
+	e2 := mustBind(t, NewCmp(Eq, NewParam(0), C("id")), s)
+	if _, key, ok := EqualityWithKeyConst(e2); !ok || key.String() != "?1" {
+		t.Errorf("reversed placeholder equality: %v %v", key, ok)
 	}
 	// Non-equality rejected.
 	e3 := mustBind(t, NewCmp(Gt, C("id"), LitInt64(9)), s)
-	if _, _, ok := EqualityWithLiteral(e3); ok {
+	if _, _, ok := EqualityWithKeyConst(e3); ok {
 		t.Error("non-equality accepted")
+	}
+}
+
+// TestParamBind pins how an argument fills its slot: exact numeric
+// conversions take the slot's type, a wider number stays as given in a
+// comparison but not in arithmetic (whose result type the slot fixed),
+// NULL keeps the slot's type, and another family is an error.
+func TestParamBind(t *testing.T) {
+	i64 := &Param{Index: 0, T: sqltypes.Int64}
+	i32Arith := &Param{Index: 0, T: sqltypes.Int32, Exact: true}
+	cases := []struct {
+		p        *Param
+		arg      sqltypes.Value
+		want     sqltypes.Value
+		wantType sqltypes.Type
+		err      string
+	}{
+		{i64, sqltypes.NewInt64(5), sqltypes.NewInt64(5), sqltypes.Int64, ""},
+		{i64, sqltypes.NewFloat64(2), sqltypes.NewInt64(2), sqltypes.Int64, ""},
+		{i64, sqltypes.NewFloat64(2.5), sqltypes.NewFloat64(2.5), sqltypes.Float64, ""},
+		{i64, sqltypes.Null, sqltypes.Null, sqltypes.Int64, ""},
+		{i64, sqltypes.NewTimestamp(9), sqltypes.NewTimestamp(9), sqltypes.Timestamp, ""},
+		{i64, sqltypes.NewString("abc"), sqltypes.Null, 0, "argument 1 is STRING, but ?1 takes BIGINT"},
+		{i32Arith, sqltypes.NewInt64(7), sqltypes.NewInt32(7), sqltypes.Int32, ""},
+		{i32Arith, sqltypes.NewFloat64(1.5), sqltypes.Null, 0, "argument 1 is DOUBLE, but ?1 takes INT"},
+		{i32Arith, sqltypes.NewInt64(1 << 40), sqltypes.Null, 0, "argument 1 is BIGINT, but ?1 takes INT"},
+		{NewParam(0), sqltypes.NewString("x"), sqltypes.NewString("x"), sqltypes.String, ""},
+	}
+	for _, c := range cases {
+		got, err := c.p.Bind([]sqltypes.Value{c.arg})
+		if c.err != "" {
+			if err == nil || err.Error() != "expr: "+c.err {
+				t.Errorf("%s <- %s: err = %v, want %q", c.p, c.arg, err, c.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s <- %s: %v", c.p, c.arg, err)
+		}
+		lit := got.(*Literal)
+		if lit.V != c.want || lit.Type() != c.wantType {
+			t.Errorf("%s <- %s: got %s (%s), want %s (%s)", c.p, c.arg, lit.V, lit.Type(), c.want, c.wantType)
+		}
+	}
+	if _, err := i64.Bind(nil); err == nil {
+		t.Error("placeholder bound without an argument")
 	}
 }
 

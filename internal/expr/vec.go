@@ -25,9 +25,9 @@ type VecExpr struct {
 
 // CompileVec compiles a bound expression into a vectorized evaluator.
 // It returns ok=false when the tree contains a node the vectorized engine
-// does not cover (scalar functions, casts, unresolved columns, NULL
-// literals, or comparisons across incompatible type families); callers fall
-// back to row-at-a-time evaluation.
+// does not cover (scalar functions, casts, unresolved columns, untyped NULL
+// literals and placeholders, or comparisons across incompatible type
+// families); callers fall back to row-at-a-time evaluation.
 func CompileVec(e Expr) (*VecExpr, bool) {
 	n, ok := compileVec(e)
 	if !ok {
@@ -67,10 +67,17 @@ func compileVec(e Expr) (vecNode, bool) {
 		}
 		return &vecBound{ord: n.Ordinal, t: n.T}, true
 	case *Literal:
-		if n.V.IsNull() {
+		if !n.Type().Valid() {
+			return nil, false // an untyped NULL
+		}
+		return &vecLit{v: n.V, t: n.Type(), out: columnar.NewVector(n.Type())}, true
+	case *Param:
+		// A typed placeholder compiles as a constant of its slot's type;
+		// executions bind it to a literal first.
+		if !n.T.Valid() {
 			return nil, false
 		}
-		return &vecLit{v: n.V, out: columnar.NewVector(n.V.T)}, true
+		return &vecParam{n}, true
 	case *Cmp:
 		return compileCmp(n)
 	case *Arith:
@@ -143,19 +150,27 @@ func (n *vecBound) eval(b *vector.Batch) (*columnar.Vector, error) {
 	return b.Cols[n.ord], nil
 }
 
+// vecLit is a constant; a NULL one (typed by its slot) is all-NULL.
 type vecLit struct {
 	v   sqltypes.Value
+	t   sqltypes.Type
 	out *columnar.Vector
 }
 
-func (n *vecLit) typ() sqltypes.Type { return n.v.T }
+func (n *vecLit) typ() sqltypes.Type { return n.t }
 func (n *vecLit) eval(b *vector.Batch) (*columnar.Vector, error) {
 	m := b.Len()
 	if n.out.Len() == m {
 		return n.out, nil // still filled from the previous batch
 	}
-	n.out.Reset(n.v.T)
+	n.out.Reset(n.t)
 	n.out.Resize(m)
+	if n.v.IsNull() {
+		for i := 0; i < m; i++ {
+			n.out.SetNull(i)
+		}
+		return n.out, nil
+	}
 	switch n.v.T {
 	case sqltypes.Float64:
 		f := n.out.Float64s()
@@ -176,9 +191,17 @@ func (n *vecLit) eval(b *vector.Batch) (*columnar.Vector, error) {
 	return n.out, nil
 }
 
-// litOf unwraps a literal child for the scalar fast paths.
+type vecParam struct{ p *Param }
+
+func (n *vecParam) typ() sqltypes.Type { return n.p.T }
+func (n *vecParam) eval(*vector.Batch) (*columnar.Vector, error) {
+	_, err := n.p.Eval(nil)
+	return nil, err
+}
+
+// litOf unwraps a non-NULL literal child for the scalar fast paths.
 func litOf(n vecNode) (sqltypes.Value, bool) {
-	if l, ok := n.(*vecLit); ok {
+	if l, ok := n.(*vecLit); ok && !l.v.IsNull() {
 		return l.v, true
 	}
 	return sqltypes.Null, false

@@ -3,6 +3,7 @@ package expr
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"indexeddf/internal/sqltypes"
@@ -137,6 +138,10 @@ func TestVecKernelsMatchRowEval(t *testing.T) {
 		&IsNull{E: f, Negate: true},
 		As(NewArith(Add, i64, LitInt64(7)), "aliased"),
 		NewCmp(Gt, NewArith(Mul, i64, LitInt64(2)), NewArith(Add, i32, i64)),
+		// A NULL typed by its slot compiles as an all-NULL constant.
+		NewCmp(Lt, i64, &Literal{T: sqltypes.Int64}),
+		NewArith(Add, &Literal{T: sqltypes.Float64}, f),
+		Or(bcol, &Literal{T: sqltypes.Bool}),
 	)
 	for _, e := range exprs {
 		checkKernel(t, schema, rows, e)
@@ -161,13 +166,14 @@ func TestCompileVecRejects(t *testing.T) {
 	s := bindCol(t, schema, "s")
 	i64 := bindCol(t, schema, "i64")
 	bad := []Expr{
-		C("unbound"),                       // unresolved
-		NewFunc("UPPER", s),                // scalar function
-		&Cast{E: i64, To: sqltypes.String}, // cast
-		Lit(sqltypes.Null),                 // NULL literal
-		NewCmp(Eq, s, i64),                 // incompatible comparison
-		NewArith(Add, s, s),                // non-numeric arithmetic
-		And(i64, i64),                      // non-boolean logic operands
+		C("unbound"),                         // unresolved
+		NewFunc("UPPER", s),                  // scalar function
+		&Cast{E: i64, To: sqltypes.String},   // cast
+		Lit(sqltypes.Null),                   // untyped NULL literal
+		NewCmp(Eq, NewParam(0), NewParam(1)), // untyped placeholders
+		NewCmp(Eq, s, i64),                   // incompatible comparison
+		NewArith(Add, s, s),                  // non-numeric arithmetic
+		And(i64, i64),                        // non-boolean logic operands
 	}
 	for _, e := range bad {
 		if CanVectorize(e) {
@@ -176,5 +182,17 @@ func TestCompileVecRejects(t *testing.T) {
 	}
 	if !CanVectorize(NewCmp(Eq, i64, LitInt64(1))) {
 		t.Error("simple comparison failed to compile")
+	}
+	// A typed placeholder compiles; evaluating it unbound fails.
+	ve, ok := CompileVec(NewCmp(Lt, i64, &Param{Index: 0, T: sqltypes.Int64}))
+	if !ok {
+		t.Fatal("typed placeholder comparison failed to compile")
+	}
+	b := vector.NewBatch(schema)
+	if err := b.AppendRow(vecTestRows(rand.New(rand.NewSource(1)), 1)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ve.Eval(b); err == nil || !strings.Contains(err.Error(), "unbound parameter ?1") {
+		t.Fatalf("unbound placeholder evaluated: err = %v", err)
 	}
 }

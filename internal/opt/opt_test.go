@@ -172,7 +172,7 @@ func TestOptimizePushFilterBelowProject(t *testing.T) {
 		t.Fatalf("filter not pushed below project:\n%s", plan.TreeString(out))
 	}
 	// The pushed filter must address the relation's ordinal of id (0).
-	col, _, ok := expr.EqualityWithLiteral(inner.Cond)
+	col, _, ok := expr.EqualityWithKeyConst(inner.Cond)
 	if !ok || col.Ordinal != 0 {
 		t.Fatalf("pushed cond = %s", inner.Cond)
 	}

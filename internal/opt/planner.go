@@ -190,7 +190,7 @@ func (pl *Planner) planFilter(f *plan.Filter) (physical.Exec, error) {
 				rest := make([]expr.Expr, 0, len(conjuncts)-1)
 				rest = append(rest, conjuncts[:i]...)
 				rest = append(rest, conjuncts[i+1:]...)
-				return physical.NewIndexLookupKeyExpr(it, key, expr.JoinConjuncts(rest), rel.Schema()), nil
+				return physical.NewIndexLookup(it, key, expr.JoinConjuncts(rest), rel.Schema()), nil
 			}
 		}
 	}

@@ -126,9 +126,10 @@ func (ga *groupAlloc) new(keys sqltypes.Row) *aggGroup {
 	return g
 }
 
-// update folds a raw input row into the group's accumulators.
-func (h *HashAggExec) update(g *aggGroup, row sqltypes.Row) error {
-	for i, a := range h.Aggs {
+// update folds a raw input row into the group's accumulators; aggs are
+// the execution's bound aggregates.
+func update(aggs []expr.Agg, g *aggGroup, row sqltypes.Row) error {
+	for i, a := range aggs {
 		if a.Func == expr.CountStarAgg {
 			g.accs[i].count++
 			continue
@@ -173,10 +174,8 @@ func updateAcc(ac *acc, a expr.Agg, v sqltypes.Value) {
 	}
 }
 
-// merge folds a partial accumulator row (groups first) into the group.
-func (h *HashAggExec) merge(g *aggGroup, row sqltypes.Row) { mergeAccs(h.Aggs, len(h.Groups), g, row) }
-
-// mergeAccs folds a partial accumulator row into a group's accumulators.
+// mergeAccs folds a partial accumulator row (groups first) into a group's
+// accumulators.
 func mergeAccs(aggs []expr.Agg, groupLen int, g *aggGroup, row sqltypes.Row) {
 	pos := groupLen
 	for i, a := range aggs {
@@ -216,36 +215,14 @@ func mergeAccs(aggs []expr.Agg, groupLen int, g *aggGroup, row sqltypes.Row) {
 	}
 }
 
-// emitPartial renders a group's accumulators as a partial row.
-func (h *HashAggExec) emitPartial(g *aggGroup) sqltypes.Row { return emitPartialRow(h.Aggs, g) }
-
-func emitPartialRow(aggs []expr.Agg, g *aggGroup) sqltypes.Row {
-	out := make(sqltypes.Row, 0, len(g.keys)+2*len(aggs))
-	out = append(out, g.keys...)
-	for i, a := range aggs {
-		ac := g.accs[i]
-		switch a.Func {
-		case expr.CountAgg, expr.CountStarAgg:
-			out = append(out, sqltypes.NewInt64(ac.count))
-		case expr.SumAgg:
-			out = append(out, sumValue(a, ac))
-		case expr.MinAgg:
-			out = append(out, ac.min)
-		case expr.MaxAgg:
-			out = append(out, ac.max)
-		case expr.AvgAgg:
-			out = append(out, sqltypes.NewFloat64(ac.sumF), sqltypes.NewInt64(ac.count))
-		}
+// emitRow renders a group's accumulators as a result row or, when
+// partial, as a partial row (an AVG as its running sum and count).
+func emitRow(aggs []expr.Agg, g *aggGroup, partial bool) sqltypes.Row {
+	width := len(g.keys) + len(aggs)
+	if partial {
+		width += len(aggs)
 	}
-	return out
-}
-
-// emitFinal renders a group's accumulators as a result row.
-func (h *HashAggExec) emitFinal(g *aggGroup) sqltypes.Row { return emitFinalRow(h.Aggs, g) }
-
-func emitFinalRow(aggs []expr.Agg, g *aggGroup) sqltypes.Row {
-	out := make(sqltypes.Row, 0, len(g.keys)+len(aggs))
-	out = append(out, g.keys...)
+	out := append(make(sqltypes.Row, 0, width), g.keys...)
 	for i, a := range aggs {
 		ac := g.accs[i]
 		switch a.Func {
@@ -258,9 +235,12 @@ func emitFinalRow(aggs []expr.Agg, g *aggGroup) sqltypes.Row {
 		case expr.MaxAgg:
 			out = append(out, ac.max)
 		case expr.AvgAgg:
-			if ac.count == 0 {
+			switch {
+			case partial:
+				out = append(out, sqltypes.NewFloat64(ac.sumF), sqltypes.NewInt64(ac.count))
+			case ac.count == 0:
 				out = append(out, sqltypes.Null)
-			} else {
+			default:
 				out = append(out, sqltypes.NewFloat64(ac.sumF/float64(ac.count)))
 			}
 		}
@@ -281,6 +261,17 @@ func sumValue(a expr.Agg, ac acc) sqltypes.Value {
 // Execute implements Exec.
 func (h *HashAggExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 	child, err := h.Child.Execute(ec)
+	if err != nil {
+		return nil, err
+	}
+	groupExprs, err := bindEach(ec, h.Groups, exprSlot)
+	if err != nil {
+		return nil, err
+	}
+	// Update, merge and emit all read the bound aggregates: a SUM's
+	// accumulator lane follows its argument's type, which an untyped `?`
+	// only gets from its argument.
+	aggs, err := bindEach(ec, h.Aggs, aggArgSlot)
 	if err != nil {
 		return nil, err
 	}
@@ -307,7 +298,7 @@ func (h *HashAggExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 			if h.Mode == AggFinal {
 				keyVals = row[:len(h.Groups)]
 			} else {
-				for i, ge := range h.Groups {
+				for i, ge := range groupExprs {
 					v, err := ge.Eval(row)
 					if err != nil {
 						return nil, err
@@ -324,9 +315,9 @@ func (h *HashAggExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 				order = append(order, g)
 			}
 			if h.Mode == AggFinal {
-				h.merge(g, row)
+				mergeAccs(aggs, len(h.Groups), g, row)
 			} else {
-				if err := h.update(g, row); err != nil {
+				if err := update(aggs, g, row); err != nil {
 					return nil, err
 				}
 			}
@@ -335,15 +326,11 @@ func (h *HashAggExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 		// Complete modes only, and only on the single output partition).
 		if len(groups) == 0 && len(h.Groups) == 0 && h.Mode != AggPartial {
 			g := &aggGroup{accs: make([]acc, len(h.Aggs))}
-			return obs.Rows(st, sqltypes.NewSliceIter([]sqltypes.Row{h.emitFinal(g)})), nil
+			return obs.Rows(st, sqltypes.NewSliceIter([]sqltypes.Row{emitRow(aggs, g, false)})), nil
 		}
 		out := make([]sqltypes.Row, 0, len(groups))
 		for _, g := range order {
-			if h.Mode == AggPartial {
-				out = append(out, h.emitPartial(g))
-			} else {
-				out = append(out, h.emitFinal(g))
-			}
+			out = append(out, emitRow(aggs, g, h.Mode == AggPartial))
 		}
 		return obs.Rows(st, sqltypes.NewSliceIter(out)), nil
 	}), nil

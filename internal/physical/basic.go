@@ -37,7 +37,10 @@ func (f *FilterExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 	if err != nil {
 		return nil, err
 	}
-	cond := f.Cond
+	cond, err := ec.Bind(f.Cond)
+	if err != nil {
+		return nil, err
+	}
 	st := ec.Stats(f)
 	return ec.RDD.NewIterRDD(child, 0, func(_ *rdd.TaskContext, _ int, in sqltypes.RowIter) (sqltypes.RowIter, error) {
 		return obs.Rows(st, &filterIter{in: obs.CountInto(st, in), cond: cond}), nil
@@ -100,7 +103,10 @@ func (p *ProjectExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 	if err != nil {
 		return nil, err
 	}
-	exprs := p.Exprs
+	exprs, err := bindEach(ec, p.Exprs, exprSlot)
+	if err != nil {
+		return nil, err
+	}
 	st := ec.Stats(p)
 	return ec.RDD.NewIterRDD(child, 0, func(_ *rdd.TaskContext, _ int, in sqltypes.RowIter) (sqltypes.RowIter, error) {
 		return obs.Rows(st, &projectIter{in: in, exprs: exprs}), nil
@@ -177,7 +183,10 @@ func (s *SortExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 	if child.NumPartitions() > 1 {
 		gathered = ec.RDD.NewShuffledRDD(child, rdd.SinglePartitioner{})
 	}
-	orders := s.Orders
+	orders, err := bindEach(ec, s.Orders, orderSlot)
+	if err != nil {
+		return nil, err
+	}
 	st := ec.Stats(s)
 	return ec.RDD.NewIterRDD(gathered, 0, func(_ *rdd.TaskContext, _ int, in sqltypes.RowIter) (sqltypes.RowIter, error) {
 		rows, err := sqltypes.Drain(in)

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"indexeddf/internal/core"
+	"indexeddf/internal/expr"
 	"indexeddf/internal/obs"
 	"indexeddf/internal/rdd"
 	"indexeddf/internal/sqltypes"
@@ -43,6 +44,11 @@ type ExecContext struct {
 	// Query is the query's observability collector; nil disables all
 	// instrumentation (operators wrap nothing and pay nothing).
 	Query *obs.QueryStats
+
+	// Args are a prepared statement's arguments, in placeholder order. The
+	// plan itself is immutable and shared by concurrent executions; each
+	// operator binds its own expressions in Execute (Bind).
+	Args []sqltypes.Value
 
 	mu    sync.Mutex
 	snaps map[*core.IndexedTable]*core.Snapshot
@@ -77,6 +83,43 @@ func (ec *ExecContext) SnapshotOf(t *core.IndexedTable) *core.Snapshot {
 	}
 	return s
 }
+
+// Bind resolves e for this execution: every `?` becomes its argument's
+// literal (expr.Param.Bind). Without arguments e comes back untouched, so
+// a plan with no `?` pays nothing, and a `?` run without an argument
+// fails with the unbound-parameter error where it is evaluated.
+func (ec *ExecContext) Bind(e expr.Expr) (expr.Expr, error) {
+	if len(ec.Args) == 0 || e == nil {
+		return e, nil
+	}
+	return expr.Transform(e, func(n expr.Expr) (expr.Expr, error) {
+		if p, ok := n.(*expr.Param); ok {
+			return p.Bind(ec.Args)
+		}
+		return n, nil
+	})
+}
+
+// bindEach binds the expression at slot(&x) of each element of xs (see
+// Bind), returning xs itself when the execution has no arguments.
+func bindEach[T any](ec *ExecContext, xs []T, slot func(*T) *expr.Expr) ([]T, error) {
+	if len(ec.Args) == 0 {
+		return xs, nil
+	}
+	out := append([]T(nil), xs...)
+	for i := range out {
+		e := slot(&out[i])
+		var err error
+		if *e, err = ec.Bind(*e); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+func exprSlot(e *expr.Expr) *expr.Expr  { return e }
+func orderSlot(o *SortOrder) *expr.Expr { return &o.Expr }
+func aggArgSlot(a *expr.Agg) *expr.Expr { return &a.Arg }
 
 // Stats returns e's per-operator collector, creating it on first use, or
 // nil when the query runs without observability. Execute methods call this

@@ -60,7 +60,7 @@ func (j *IndexedJoinExec) String() string {
 // joinProbeRow probes one row against partition p of the snapshot and
 // appends matches to out. Returns whether any match was emitted.
 func (j *IndexedJoinExec) joinProbeRow(snap *core.Snapshot, p int, probeRow sqltypes.Row,
-	out *sliceBuilder) (bool, error) {
+	residual expr.Expr, out *sliceBuilder) (bool, error) {
 	key := probeRow[j.ProbeKey]
 	if key.IsNull() {
 		return false, nil
@@ -81,8 +81,8 @@ func (j *IndexedJoinExec) joinProbeRow(snap *core.Snapshot, p int, probeRow sqlt
 			copy(joined, probeRow)
 			copy(joined[len(probeRow):], indexedRow)
 		}
-		if j.Residual != nil {
-			keep, err := expr.EvalPredicate(j.Residual, joined)
+		if residual != nil {
+			keep, err := expr.EvalPredicate(residual, joined)
 			if err != nil {
 				evalErr = err
 				return false
@@ -110,6 +110,10 @@ func (j *IndexedJoinExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 	}
 	n := snap.NumPartitions()
 	indexedWidth := j.Indexed.Schema().Len()
+	residual, err := ec.Bind(j.Residual)
+	if err != nil {
+		return nil, err
+	}
 	st := ec.Stats(j)
 	if j.Broadcast {
 		probeRows, err := ec.RDD.CollectCtx(ec.Ctx, probeRDD)
@@ -139,7 +143,7 @@ func (j *IndexedJoinExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 						return nil, err
 					}
 				}
-				matched, err := j.joinProbeRow(snap, p, probeRow, &b)
+				matched, err := j.joinProbeRow(snap, p, probeRow, residual, &b)
 				if err != nil {
 					return nil, err
 				}
@@ -172,7 +176,7 @@ func (j *IndexedJoinExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 			if probeRow == nil {
 				break
 			}
-			matched, err := j.joinProbeRow(snap, p, probeRow, &b)
+			matched, err := j.joinProbeRow(snap, p, probeRow, residual, &b)
 			if err != nil {
 				return nil, err
 			}

@@ -148,7 +148,11 @@ func (j *ShuffleHashJoinExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 	ls := ec.RDD.NewShuffledRDD(left, keyPartitioner(j.LeftKeys, j.NumPartitions))
 	rs := ec.RDD.NewShuffledRDD(right, keyPartitioner(j.RightKeys, j.NumPartitions))
 	lKeys, rKeys := j.LeftKeys, j.RightKeys
-	jt, residual := j.Type, j.Residual
+	jt := j.Type
+	residual, err := ec.Bind(j.Residual)
+	if err != nil {
+		return nil, err
+	}
 	rightWidth := j.Right.Schema().Len()
 	st := ec.Stats(j)
 	return ec.RDD.NewZipRDD(ls, rs, func(tc *rdd.TaskContext, _ int, lit, rit sqltypes.RowIter) (sqltypes.RowIter, error) {
@@ -223,7 +227,11 @@ func (j *BroadcastHashJoinExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 		return nil, err
 	}
 	sKeys := j.StreamKeys
-	jt, residual := j.Type, j.Residual
+	jt := j.Type
+	residual, err := ec.Bind(j.Residual)
+	if err != nil {
+		return nil, err
+	}
 	buildWidth := j.Build.Schema().Len()
 	streamIsLeft := j.BuildIsRight
 	st := ec.Stats(j)
@@ -286,7 +294,11 @@ func (j *NestedLoopJoinExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 	if err != nil {
 		return nil, err
 	}
-	cond, jt := j.Cond, j.Type
+	jt := j.Type
+	cond, err := ec.Bind(j.Cond)
+	if err != nil {
+		return nil, err
+	}
 	rightWidth := j.Right.Schema().Len()
 	st := ec.Stats(j)
 	return ec.RDD.NewIterRDD(left, 0, func(tc *rdd.TaskContext, _ int, in sqltypes.RowIter) (sqltypes.RowIter, error) {

@@ -281,13 +281,13 @@ func TestIndexedScanAndLookup(t *testing.T) {
 		t.Fatalf("projected scan: %d rows of %d cols", len(proj), len(proj[0]))
 	}
 	// Lookup.
-	lk := collect(t, NewIndexLookup(it, sqltypes.NewInt64(4), nil, it.Schema()))
+	lk := collect(t, NewIndexLookup(it, expr.LitInt64(4), nil, it.Schema()))
 	if len(lk) != 10 {
 		t.Fatalf("lookup rows = %d", len(lk))
 	}
 	// Lookup with residual.
 	res := expr.NewCmp(expr.Ne, expr.B(1, sqltypes.String, "v"), expr.LitString("v"))
-	lk2 := collect(t, NewIndexLookup(it, sqltypes.NewInt64(4), res, it.Schema()))
+	lk2 := collect(t, NewIndexLookup(it, expr.LitInt64(4), res, it.Schema()))
 	if len(lk2) != 0 {
 		t.Fatalf("residual lookup rows = %d", len(lk2))
 	}

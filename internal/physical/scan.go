@@ -152,22 +152,17 @@ func (s *IndexedScanExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 // Ctrie lookup plus a backward-chain walk, instead of a scan. A residual
 // predicate (the rest of the WHERE clause) filters the chain rows. The key
 // is a constant expression — a literal, or a prepared-statement parameter
-// that bind-time substitution replaces before execution.
+// that each execution binds to its argument.
 type IndexLookupExec struct {
 	Table    *catalog.IndexedTable
-	Key      expr.Expr // *expr.Literal, or *expr.Param until bound
+	Key      expr.Expr // *expr.Literal or *expr.Param
 	Residual expr.Expr // bound against the table schema; may be nil
 	schema   *sqltypes.Schema
 }
 
-// NewIndexLookup builds an index lookup on a literal key.
-func NewIndexLookup(table *catalog.IndexedTable, key sqltypes.Value, residual expr.Expr, outSchema *sqltypes.Schema) *IndexLookupExec {
-	return NewIndexLookupKeyExpr(table, expr.Lit(key), residual, outSchema)
-}
-
-// NewIndexLookupKeyExpr builds an index lookup whose key is a constant
-// expression (literal or parameter placeholder).
-func NewIndexLookupKeyExpr(table *catalog.IndexedTable, key expr.Expr, residual expr.Expr, outSchema *sqltypes.Schema) *IndexLookupExec {
+// NewIndexLookup builds an index lookup whose key is a constant expression
+// (literal or parameter placeholder).
+func NewIndexLookup(table *catalog.IndexedTable, key, residual expr.Expr, outSchema *sqltypes.Schema) *IndexLookupExec {
 	return &IndexLookupExec{Table: table, Key: key, Residual: residual, schema: outSchema}
 }
 
@@ -187,13 +182,19 @@ func (s *IndexLookupExec) String() string {
 // Execute implements Exec.
 func (s *IndexLookupExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 	snap := ec.SnapshotOf(s.Table.Core())
-	key, err := s.Key.Eval(nil)
+	keyExpr, err := ec.Bind(s.Key)
 	if err != nil {
-		// An unbound parameter reaches execution only when the statement
-		// was run ad hoc instead of through a prepared statement.
 		return nil, err
 	}
-	residual := s.Residual
+	// An unbound parameter fails here: the statement ran ad hoc.
+	key, err := keyExpr.Eval(nil)
+	if err != nil {
+		return nil, err
+	}
+	residual, err := ec.Bind(s.Residual)
+	if err != nil {
+		return nil, err
+	}
 	st := ec.Stats(s)
 	// A single partition computes the lookup: the key's home partition.
 	return ec.RDD.NewIterRDD(nil, 1, func(_ *rdd.TaskContext, _ int, _ sqltypes.RowIter) (sqltypes.RowIter, error) {

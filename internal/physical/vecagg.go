@@ -72,17 +72,25 @@ func (h *VecHashAggExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 			return obs.Batches(st, out), nil
 		}), nil
 	}
+	groupExprs, err := bindEach(ec, h.Groups, exprSlot)
+	if err != nil {
+		return nil, err
+	}
+	aggs, err := bindEach(ec, h.Aggs, aggArgSlot)
+	if err != nil {
+		return nil, err
+	}
 	return ec.RDD.NewBatchIterRDD(child, 0, inSchema, func(tc *rdd.TaskContext, _ int, in vector.BatchIter) (vector.BatchIter, error) {
-		groups := make([]*expr.VecExpr, len(h.Groups))
-		for i, g := range h.Groups {
+		groups := make([]*expr.VecExpr, len(groupExprs))
+		for i, g := range groupExprs {
 			ve, ok := expr.CompileVec(g)
 			if !ok {
 				return nil, fmt.Errorf("physical: group expression %s is not vectorizable", g)
 			}
 			groups[i] = ve
 		}
-		args := make([]*expr.VecExpr, len(h.Aggs))
-		for i, a := range h.Aggs {
+		args := make([]*expr.VecExpr, len(aggs))
+		for i, a := range aggs {
 			if a.Func == expr.CountStarAgg {
 				continue
 			}
@@ -378,7 +386,7 @@ func (a *aggSpiller) flushTable(s *aggState, fan *runFan) error {
 			}
 			a.out.Reset()
 		}
-		if err := a.out.AppendRow(emitPartialRow(a.h.Aggs, g)); err != nil {
+		if err := a.out.AppendRow(emitRow(a.h.Aggs, g, true)); err != nil {
 			return err
 		}
 	}
@@ -571,13 +579,7 @@ func (h *VecHashAggExec) render(order []*aggGroup) (vector.BatchIter, error) {
 			cur = vector.NewBatch(h.schema)
 			batches = append(batches, cur)
 		}
-		var row sqltypes.Row
-		if h.Mode == AggPartial {
-			row = emitPartialRow(h.Aggs, g)
-		} else {
-			row = emitFinalRow(h.Aggs, g)
-		}
-		if err := cur.AppendRow(row); err != nil {
+		if err := cur.AppendRow(emitRow(h.Aggs, g, h.Mode == AggPartial)); err != nil {
 			return nil, err
 		}
 	}

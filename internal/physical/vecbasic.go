@@ -51,7 +51,10 @@ func (f *VecFilterExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 		return nil, err
 	}
 	schema := f.Child.Schema()
-	cond := f.Cond
+	cond, err := ec.Bind(f.Cond)
+	if err != nil {
+		return nil, err
+	}
 	st := ec.Stats(f)
 	conjs := expr.SplitConjunction(cond)
 	adaptive := f.Adaptive && len(conjs) > 1
@@ -156,7 +159,10 @@ func (p *VecProjectExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 	}
 	inSchema := p.Child.Schema()
 	outSchema := p.schema
-	exprs := p.Exprs
+	exprs, err := bindEach(ec, p.Exprs, exprSlot)
+	if err != nil {
+		return nil, err
+	}
 	st := ec.Stats(p)
 	return ec.RDD.NewBatchIterRDD(child, 0, inSchema, func(_ *rdd.TaskContext, _ int, in vector.BatchIter) (vector.BatchIter, error) {
 		compiled := make([]*expr.VecExpr, len(exprs))

@@ -302,7 +302,11 @@ func (j *VecBroadcastHashJoinExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 	}
 	streamSchema := j.Stream.Schema()
 	outSchema := j.Schema()
-	sKeys, streamIsLeft, residual := j.StreamKeys, j.BuildIsRight, j.Residual
+	sKeys, streamIsLeft := j.StreamKeys, j.BuildIsRight
+	residual, err := ec.Bind(j.Residual)
+	if err != nil {
+		return nil, err
+	}
 	st := ec.Stats(j)
 	return ec.RDD.NewBatchIterRDD(stream, 0, streamSchema, func(_ *rdd.TaskContext, _ int, in vector.BatchIter) (vector.BatchIter, error) {
 		res, err := compileResidual(residual)
@@ -366,7 +370,11 @@ func (j *VecShuffleHashJoinExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 	leftSchema := j.Left.Schema()
 	rightSchema := j.Right.Schema()
 	outSchema := j.Schema()
-	lKeys, rKeys, residual := j.LeftKeys, j.RightKeys, j.Residual
+	lKeys, rKeys := j.LeftKeys, j.RightKeys
+	residual, err := ec.Bind(j.Residual)
+	if err != nil {
+		return nil, err
+	}
 	st := ec.Stats(j)
 	return ec.RDD.NewZipRDD(ls, rs, func(tc *rdd.TaskContext, _ int, lit, rit sqltypes.RowIter) (sqltypes.RowIter, error) {
 		res, err := compileResidual(residual)
@@ -689,9 +697,13 @@ func (j *VecIndexedJoinExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 	n := snap.NumPartitions()
 	probeSchema := j.Probe.Schema()
 	outSchema := j.schema
+	residual, err := ec.Bind(j.Residual)
+	if err != nil {
+		return nil, err
+	}
 	st := ec.Stats(j)
 	mkIter := func(in vector.BatchIter, p int) (vector.BatchIter, error) {
-		res, err := compileResidual(j.Residual)
+		res, err := compileResidual(residual)
 		if err != nil {
 			return nil, err
 		}

@@ -80,7 +80,10 @@ func (s *VecSortExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 		return nil, err
 	}
 	schema := s.Child.Schema()
-	orders := s.Orders
+	orders, err := bindEach(ec, s.Orders, orderSlot)
+	if err != nil {
+		return nil, err
+	}
 	st := ec.Stats(s)
 	single := child.NumPartitions() <= 1
 	if !single && s.Parallel > 1 && ec.RDD.SpillManager().Enabled() {
@@ -808,7 +811,10 @@ func (t *VecTopNExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 		return nil, err
 	}
 	schema := t.Child.Schema()
-	orders := t.Orders
+	orders, err := bindEach(ec, t.Orders, orderSlot)
+	if err != nil {
+		return nil, err
+	}
 	n := t.N
 	st := ec.Stats(t)
 	single := child.NumPartitions() <= 1

@@ -156,9 +156,6 @@ func (p *Project) WithChildren(c []Node) (Node, error) {
 	return NewProject(p.Exprs, c[0]), nil
 }
 
-// WithExprs rebuilds the projection with new expressions.
-func (p *Project) WithExprs(exprs []expr.Expr) *Project { return NewProject(exprs, p.Child) }
-
 // Stats implements Node; column detail is remapped through pass-through
 // projections (bare or aliased column references).
 func (p *Project) Stats() Stats {

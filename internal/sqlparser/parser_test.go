@@ -238,3 +238,43 @@ func TestNormalize(t *testing.T) {
 		t.Fatal("identifier case should be preserved")
 	}
 }
+
+// FuzzNormalize guards the plan-cache key: Normalize must be idempotent,
+// and its output must parse exactly as the input did — a prepared
+// statement recompiles from the normalized text after a DDL purge, so a
+// lost or invented `?` would change its arity. `go test` runs the seeds;
+// `go test -fuzz FuzzNormalize` explores.
+func FuzzNormalize(f *testing.F) {
+	for _, seed := range []string{
+		"SELECT id FROM person WHERE id = ? AND age >= ?",
+		"select  id ,name\n from person  where name = 'o''brien' -- trailing comment",
+		"SELECT name FROM person WHERE name = '?' OR name = ''''",
+		"SELECT id FROM person WHERE age > 1.5 AND id < -2 AND age <> 30 LIMIT 10",
+		"SELECT COUNT(*) FROM knows k JOIN person p ON k.person1Id = p.id WHERE p.age BETWEEN ? AND ?",
+		"SELECT id FROM person WHERE id IN (1, ?, 3) ORDER BY age DESC, id",
+		"EXPLAIN SELECT id FROM person WHERE age + ? > 3",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, query string) {
+		norm, err := Normalize(query)
+		if err != nil {
+			return
+		}
+		again, err := Normalize(norm)
+		if err != nil || again != norm {
+			t.Fatalf("Normalize not idempotent:\n%q\n-> %q\n-> %q (%v)", query, norm, again, err)
+		}
+		orig, err := ParseStatement(query, resolver())
+		if err != nil {
+			return
+		}
+		re, err := ParseStatement(norm, resolver())
+		if err != nil {
+			t.Fatalf("normalized %q of %q does not parse: %v", norm, query, err)
+		}
+		if re.NumParams != orig.NumParams {
+			t.Fatalf("normalized %q has %d parameters, %q has %d", norm, re.NumParams, query, orig.NumParams)
+		}
+	})
+}

@@ -67,11 +67,6 @@ func (t Type) IntLane() bool {
 	return t == Bool || t == Int32 || t == Int64 || t == Timestamp
 }
 
-// Orderable reports whether values of t can be compared with < / >.
-func (t Type) Orderable() bool {
-	return t.Numeric() || t == String || t == Timestamp || t == Bool
-}
-
 // FixedWidth returns the number of bytes the type occupies in the binary
 // row layout's fixed section. Strings store an 8-byte (offset,len) slot.
 func (t Type) FixedWidth() int {
@@ -85,6 +80,17 @@ func (t Type) FixedWidth() int {
 	default:
 		return 0
 	}
+}
+
+// Comparable reports whether values of types a and b order against each
+// other the way Compare and the comparison kernels agree on: both numeric,
+// both integer-lane (BOOLEAN, INT, BIGINT, TIMESTAMP) or both STRING.
+// Unknown — a NULL or an untyped placeholder — compares with anything.
+func Comparable(a, b Type) bool {
+	if a == Unknown || b == Unknown || a == b {
+		return true
+	}
+	return (a.Numeric() && b.Numeric()) || (a.IntLane() && b.IntLane())
 }
 
 // CommonType returns the wider of two numeric types following standard SQL

@@ -5,6 +5,7 @@ import (
 
 	"indexeddf/internal/faultpoint"
 	"indexeddf/internal/obs"
+	"indexeddf/internal/sqltypes"
 	"indexeddf/internal/view"
 )
 
@@ -170,6 +171,7 @@ func (s *Session) initObservability() {
 // created.
 type queryMeta struct {
 	sql      string
+	args     []sqltypes.Value // a prepared statement's arguments
 	parseNs  int64
 	planNs   int64
 	cacheHit bool

@@ -444,8 +444,9 @@ func TestPreparedStatementMatchesAdHoc(t *testing.T) {
 	}
 }
 
-// TestPreparedStatementErrors: arity mismatches and non-SELECT statements
-// fail cleanly, and unbound params error at execution.
+// TestPreparedStatementErrors: arity mismatches, non-SELECT statements and
+// cross-family comparisons fail cleanly, and unbound params error at
+// execution.
 func TestPreparedStatementErrors(t *testing.T) {
 	s := newKeyedSession(t, 100)
 	stmt, err := s.Prepare("SELECT id FROM users WHERE id = ?")
@@ -467,6 +468,52 @@ func TestPreparedStatementErrors(t *testing.T) {
 	// Running a parameterized statement ad hoc errors at execution.
 	if _, err := s.MustSQL("SELECT id FROM users WHERE id = ?").Collect(); err == nil {
 		t.Fatal("ad-hoc execution of parameterized SQL did not fail")
+	}
+	// A comparison across type families fails: ad hoc at analysis, and
+	// prepared at execution, naming the argument and both types.
+	if _, err := s.MustSQL("SELECT COUNT(*) FROM users WHERE age > 'abc'").Collect(); err == nil {
+		t.Fatal("BIGINT > STRING literal did not fail")
+	}
+	cross, err := s.Prepare("SELECT COUNT(*) FROM users WHERE age > ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cross.Query(context.Background(), "abc"); err == nil ||
+		!strings.Contains(err.Error(), "argument 1 is STRING") || !strings.Contains(err.Error(), "BIGINT") {
+		t.Fatalf("BIGINT > STRING argument: err = %v", err)
+	}
+}
+
+// TestCrossFamilyComparisonRejected: comparing a BIGINT column with a
+// string used to read the string's unused integer lane (0) and return 990
+// of 1,000 rows for `val > 'abc'`. Analysis now rejects the ad-hoc form,
+// and a prepared statement rejects the argument, naming both types.
+func TestCrossFamilyComparisonRejected(t *testing.T) {
+	s := newObsSession(t, Config{}, 0, 1_000)
+	if n, err := s.MustSQL("SELECT COUNT(*) FROM t WHERE val > 'abc'").Collect(); err == nil {
+		t.Fatalf("BIGINT > STRING compared (COUNT %v)", n)
+	}
+	st, err := s.Prepare("SELECT COUNT(*) FROM t WHERE val > ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := st.Collect(context.Background(), "abc")
+	if err == nil {
+		t.Fatalf("BIGINT > STRING argument compared (COUNT %v)", n)
+	}
+	for _, want := range []string{"argument 1", "STRING", "BIGINT"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+	// A float argument in an INT slot compares in the float family, as an
+	// ad-hoc literal does.
+	got, err := st.Collect(context.Background(), 99.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0][0].Int64Val() != 9 {
+		t.Fatalf("val > 99.5 counted %v, want 9", got)
 	}
 }
 

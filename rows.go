@@ -266,15 +266,11 @@ func nativeValue(v sqltypes.Value) any {
 // ---------------------------------------------------------------------------
 // Session-side cursor construction
 
-// queryExec starts a compiled physical plan as a streaming cursor under
-// ctx, applying the session's QueryTimeout when the caller set no
-// deadline of its own.
-func (s *Session) queryExec(ctx context.Context, exec physical.Exec) (*Rows, error) {
-	return s.queryExecMeta(ctx, exec, queryMeta{})
-}
-
-// queryExecMeta is queryExec carrying entry-point context (statement text,
-// parse/plan timings, plan-cache outcome) into the query's stats.
+// queryExecMeta starts a compiled physical plan as a streaming cursor
+// under ctx, applying the session's QueryTimeout when the caller set no
+// deadline of its own. meta carries entry-point context (statement text,
+// a prepared statement's arguments, parse/plan timings, plan-cache
+// outcome) into the execution and the query's stats.
 func (s *Session) queryExecMeta(ctx context.Context, exec physical.Exec, meta queryMeta) (*Rows, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -329,7 +325,7 @@ func (s *Session) queryExecMeta(ctx context.Context, exec physical.Exec, meta qu
 		return nil, err
 	}
 	ec := physical.NewExecContextCtx(ctx, s.ctx)
-	ec.Query = qs
+	ec.Query, ec.Args = qs, meta.args
 	var (
 		r     rdd.RDD
 		err   error

@@ -42,9 +42,6 @@ func (s *Session) SQL(query string) (*DataFrame, error) {
 	case sqlparser.StmtSelect:
 		return s.frame(stmt.Select), nil
 	case sqlparser.StmtExplain:
-		if stmt.NumParams > 0 {
-			return nil, fmt.Errorf("indexeddf: EXPLAIN does not support parameter placeholders")
-		}
 		df := s.frame(stmt.Select)
 		var text string
 		var err error

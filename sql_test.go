@@ -1,6 +1,7 @@
 package indexeddf
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -234,5 +235,27 @@ func TestSQLComments(t *testing.T) {
 	n, err := s.MustSQL("SELECT id FROM person -- trailing comment\nWHERE id < 5").Count()
 	if err != nil || n != 5 {
 		t.Fatalf("comment query = %d, %v", n, err)
+	}
+}
+
+// TestSQLExplainPlaceholders: plain EXPLAIN renders a parameterized
+// statement's shared plan with its `?N` placeholders; EXPLAIN ANALYZE has
+// no arguments to run it with and fails on the unbound parameter.
+func TestSQLExplainPlaceholders(t *testing.T) {
+	s, _, _ := newTestSession(t)
+	df, err := s.SQL("EXPLAIN SELECT id FROM person WHERE age < ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := df.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan := fmt.Sprint(rows); !strings.Contains(plan, "(person.age < ?1)") {
+		t.Fatalf("EXPLAIN does not render the placeholder:\n%s", plan)
+	}
+	_, err = s.SQL("EXPLAIN ANALYZE SELECT id FROM person WHERE age < ?")
+	if err == nil || !strings.Contains(err.Error(), "unbound parameter ?1") {
+		t.Fatalf("EXPLAIN ANALYZE with a placeholder: err = %v", err)
 	}
 }

@@ -17,8 +17,9 @@ import (
 // physically planned once, with `?` placeholders bound per execution.
 // Repeated executions skip the whole compilation pipeline — for an indexed
 // point lookup that is most of the query's latency. A Stmt is safe for
-// concurrent use: binding clones only the parameter-bearing fragments of
-// the cached plan.
+// concurrent use: the cached plan is never modified; each execution
+// carries its arguments, and every operator binds its own expressions as
+// it starts.
 //
 // The Stmt resolves its compiled plan through the session's plan cache on
 // every execution, so catalog DDL (which purges the cache) transparently
@@ -106,19 +107,24 @@ func (st *Stmt) Schema() *sqltypes.Schema {
 
 // Query executes the prepared plan with args bound to its placeholders (in
 // lexical order) and returns a streaming cursor. The cached physical plan
-// is reused as-is; only parameter-bearing fragments are rebuilt.
+// runs as-is: the arguments travel with the execution.
 func (st *Stmt) Query(ctx context.Context, args ...any) (*Rows, error) {
 	t0 := time.Now()
 	ent, hit, err := st.sess.prepareEntry(st.sql)
 	if err != nil {
 		return nil, err
 	}
-	exec, err := st.bind(ent, args)
-	if err != nil {
-		return nil, err
+	if len(args) != ent.numParams {
+		return nil, fmt.Errorf("indexeddf: statement takes %d parameters, got %d", ent.numParams, len(args))
 	}
-	return st.sess.queryExecMeta(ctx, exec, queryMeta{
-		sql: st.sql, cacheHit: hit, planNs: time.Since(t0).Nanoseconds()})
+	vals := make([]sqltypes.Value, len(args))
+	for i, a := range args {
+		if vals[i], err = toValue(a); err != nil {
+			return nil, fmt.Errorf("indexeddf: argument %d: %w", i+1, err)
+		}
+	}
+	return st.sess.queryExecMeta(ctx, ent.exec, queryMeta{
+		sql: st.sql, args: vals, cacheHit: hit, planNs: time.Since(t0).Nanoseconds()})
 }
 
 // Collect executes the statement and materializes every row — Query plus a
@@ -129,19 +135,6 @@ func (st *Stmt) Collect(ctx context.Context, args ...any) ([]sqltypes.Row, error
 		return nil, err
 	}
 	return drainRows(rows)
-}
-
-// bind substitutes args into the cached plan.
-func (st *Stmt) bind(ent *planEntry, args []any) (physical.Exec, error) {
-	vals := make([]sqltypes.Value, len(args))
-	for i, a := range args {
-		v, err := toValue(a)
-		if err != nil {
-			return nil, fmt.Errorf("indexeddf: argument %d: %w", i+1, err)
-		}
-		vals[i] = v
-	}
-	return physical.BindParams(ent.exec, ent.numParams, vals)
 }
 
 // toValue converts a native Go argument to an engine value.
