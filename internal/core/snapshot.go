@@ -118,15 +118,9 @@ func (s *Snapshot) LookupPtr(p int, key sqltypes.Value) (rowbatch.Ptr, bool) {
 // PartitionFor returns the partition owning key.
 func (s *Snapshot) PartitionFor(key sqltypes.Value) int { return s.table.PartitionFor(key) }
 
-// ChainEach walks the backward chain from ptr in partition p, decoding each
-// row into a reused buffer.
-func (s *Snapshot) ChainEach(p int, ptr rowbatch.Ptr, fn func(sqltypes.Row) bool) error {
-	return s.ChainEachInto(p, ptr, make(sqltypes.Row, s.table.schema.Len()), fn)
-}
-
-// ChainEachInto is ChainEach decoding into a caller-provided buffer, so
-// callers probing many keys (the indexed join) allocate one row per
-// partition instead of one per probe.
+// ChainEachInto walks the backward chain from ptr in partition p, decoding
+// each row into the caller's buffer row, so callers probing many keys (the
+// indexed joins) allocate one buffer per task instead of one per probe.
 func (s *Snapshot) ChainEachInto(p int, ptr rowbatch.Ptr, row sqltypes.Row, fn func(sqltypes.Row) bool) error {
 	var decodeErr error
 	err := s.parts[p].batches.Chain(ptr, func(_ rowbatch.Ptr, payload []byte) bool {
@@ -148,29 +142,53 @@ func (s *Snapshot) ChainEachInto(p int, ptr rowbatch.Ptr, row sqltypes.Row, fn f
 // frozen index (trie order, chains newest first) so rows made unreachable
 // by Delete stay invisible to queries until compaction reclaims them.
 func (s *Snapshot) ScanPartition(p int, fn func(sqltypes.Row) bool) error {
-	row := make(sqltypes.Row, s.table.schema.Len())
+	return s.scanReused(p, nil, s.table.schema.Len(), fn)
+}
+
+// ScanPartitionColumns iterates partition p decoding only the requested
+// columns (the row-store projection path).
+func (s *Snapshot) ScanPartitionColumns(p int, cols []int, fn func(sqltypes.Row) bool) error {
+	return s.scanReused(p, cols, len(cols), fn)
+}
+
+func (s *Snapshot) scanReused(p int, cols []int, width int, fn func(sqltypes.Row) bool) error {
+	row := make(sqltypes.Row, width)
 	return s.scanPayloads(p, func(payload []byte) (bool, error) {
-		if err := s.table.codec.DecodeInto(payload, row); err != nil {
+		if err := s.decode(payload, cols, row); err != nil {
 			return false, err
 		}
 		return fn(row), nil
 	})
 }
 
-// ScanPartitionColumns iterates partition p decoding only the requested
-// columns (the row-store projection path).
-func (s *Snapshot) ScanPartitionColumns(p int, cols []int, fn func(sqltypes.Row) bool) error {
-	row := make(sqltypes.Row, len(cols))
+// ScanPartitionInto is ScanPartitionColumns (cols nil: every column)
+// decoding each row straight into a row the caller supplies, so a scan that
+// keeps its rows decodes each payload once, into its final place. next
+// returns the row the following payload decodes into, or nil to stop.
+func (s *Snapshot) ScanPartitionInto(p int, cols []int, next func() sqltypes.Row) error {
 	return s.scanPayloads(p, func(payload []byte) (bool, error) {
-		for i, c := range cols {
-			v, err := s.table.codec.DecodeColumn(payload, c)
-			if err != nil {
-				return false, err
-			}
-			row[i] = v
+		row := next()
+		if row == nil {
+			return false, nil
 		}
-		return fn(row), nil
+		return true, s.decode(payload, cols, row)
 	})
+}
+
+// decode decodes the cols columns of payload (every column when cols is
+// nil) into row.
+func (s *Snapshot) decode(payload []byte, cols []int, row sqltypes.Row) error {
+	if cols == nil {
+		return s.table.codec.DecodeInto(payload, row)
+	}
+	for i, c := range cols {
+		v, err := s.table.codec.DecodeColumn(payload, c)
+		if err != nil {
+			return err
+		}
+		row[i] = v
+	}
+	return nil
 }
 
 // scanPayloads drives a partition scan over the visible row payloads,

@@ -568,6 +568,21 @@ func (it *rowObserver) Next() (sqltypes.Row, error) {
 	return row, nil
 }
 
+// Rest implements sqltypes.RowsHolder when the observed iterator holds its
+// rows as a slice, counting the handed-over rows as the operator's output.
+func (it *rowObserver) Rest() ([]sqltypes.Row, bool) {
+	h, ok := it.in.(sqltypes.RowsHolder)
+	if !ok {
+		return nil, false
+	}
+	rows, ok := h.Rest()
+	if ok {
+		it.pending += int64(len(rows))
+		it.flush()
+	}
+	return rows, ok
+}
+
 func (it *rowObserver) flush() {
 	it.st.AddRowsOut(it.pending)
 	it.st.AddWall(it.wallNs)

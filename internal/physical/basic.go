@@ -47,9 +47,14 @@ func (f *FilterExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 	}), nil
 }
 
+// filterIter re-packs the rows it keeps into slabs of its own: its input
+// rows may sit in a producer's slabs (see rowSlab), and a selective filter
+// that passed them on as they are would keep every slab that holds a kept
+// row alive, dropped neighbours and all.
 type filterIter struct {
 	in   sqltypes.RowIter
 	cond expr.Expr
+	slab rowSlab
 }
 
 func (it *filterIter) Next() (sqltypes.Row, error) {
@@ -63,7 +68,9 @@ func (it *filterIter) Next() (sqltypes.Row, error) {
 			return nil, err
 		}
 		if keep {
-			return row, nil
+			out := it.slab.take(len(row))
+			copy(out, row)
+			return out, nil
 		}
 	}
 }

@@ -369,12 +369,83 @@ func nullRow(n int) sqltypes.Row {
 	return r
 }
 
-// callbackIter adapts a push-style producer into a RowIter by buffering.
-type sliceBuilder struct {
-	rows []sqltypes.Row
+// Slab bounds: a task's first slab holds minSlabRows rows and each next one
+// doubles, up to maxSlabRows. A point lookup or a join probe pays for the
+// few rows it makes, at most twice over; a long scan pays one allocation per
+// 1024 rows. (Short reads make one to a few rows per task: a first slab of
+// eight rows allocated 16% more bytes per SNB short read than per-row
+// allocation did, which a 400 MB live heap pays for in GC cycles.)
+const (
+	minSlabRows = 1
+	maxSlabRows = 1024
+)
+
+// rowSlab carves a task's rows out of shared []Value slabs, one allocation
+// per slab instead of one per row. Each row is a three-index slice of its
+// slab, so an append to one row reallocates it rather than overwriting its
+// neighbour. A row keeps its whole slab alive: producers put only rows they
+// deliver into a slab, and an operator that passes on a few of its input
+// rows (the row filter) re-packs them into a slab of its own.
+type rowSlab struct {
+	free     []sqltypes.Value // unused tail of the current slab
+	slabRows int              // rows in the last slab allocated
+	left     int              // rows still to come when known exactly, else 0
 }
 
-func (b *sliceBuilder) add(r sqltypes.Row) { b.rows = append(b.rows, r) }
+// next returns the w-wide row the following take hands out, allocating a
+// slab when the current one is full. Until take, next returns the same row,
+// so a producer may fill it and drop it (a failed residual) for free.
+func (s *rowSlab) next(w int) sqltypes.Row {
+	if s.free == nil || len(s.free) < w {
+		n := min(max(2*s.slabRows, minSlabRows), maxSlabRows)
+		if s.left > 0 {
+			n = min(n, s.left)
+		}
+		s.slabRows = n
+		s.free = make([]sqltypes.Value, n*w)
+	}
+	return s.free[:w:w]
+}
+
+// take hands out the row next returned.
+func (s *rowSlab) take(w int) sqltypes.Row {
+	r := s.next(w)
+	s.free = s.free[w:]
+	if s.left > 0 {
+		s.left--
+	}
+	return r
+}
+
+// sliceBuilder collects one task's output rows, making them in slabs, and
+// hands them to the drain as one slice. A builder sized with size holds
+// exactly that many rows; otherwise it grows by doubling.
+type sliceBuilder struct {
+	rows []sqltypes.Row
+	slab rowSlab
+}
+
+// size makes room for exactly n rows, in slabs that add up to n rows.
+func (b *sliceBuilder) size(n int) {
+	b.rows = make([]sqltypes.Row, 0, n)
+	b.slab.left = n
+}
+
+// add appends a row the caller made.
+func (b *sliceBuilder) add(r sqltypes.Row) {
+	if len(b.rows) == cap(b.rows) {
+		b.rows = append(make([]sqltypes.Row, 0, max(2*cap(b.rows), minSlabRows)), b.rows...)
+	}
+	b.rows = append(b.rows, r)
+}
+
+// take appends the slab row b.slab.next returned and returns it.
+func (b *sliceBuilder) take(w int) sqltypes.Row {
+	r := b.slab.take(w)
+	b.add(r)
+	return r
+}
+
 func (b *sliceBuilder) iter() sqltypes.RowIter {
 	return sqltypes.NewSliceIter(b.rows)
 }

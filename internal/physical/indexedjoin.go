@@ -58,9 +58,11 @@ func (j *IndexedJoinExec) String() string {
 }
 
 // joinProbeRow probes one row against partition p of the snapshot and
-// appends matches to out. Returns whether any match was emitted.
+// appends matches to out. The chain decodes into buf, one buffer per task;
+// each joined row is built in out's next slab row and taken only when the
+// residual keeps it. Returns whether any match was emitted.
 func (j *IndexedJoinExec) joinProbeRow(snap *core.Snapshot, p int, probeRow sqltypes.Row,
-	residual expr.Expr, out *sliceBuilder) (bool, error) {
+	residual expr.Expr, buf sqltypes.Row, out *sliceBuilder) (bool, error) {
 	key := probeRow[j.ProbeKey]
 	if key.IsNull() {
 		return false, nil
@@ -71,9 +73,9 @@ func (j *IndexedJoinExec) joinProbeRow(snap *core.Snapshot, p int, probeRow sqlt
 	}
 	matched := false
 	var evalErr error
-	iw := len(j.Indexed.Schema().Fields)
-	err := snap.ChainEach(p, ptr, func(indexedRow sqltypes.Row) bool {
-		joined := make(sqltypes.Row, iw+len(probeRow))
+	iw, w := len(buf), len(buf)+len(probeRow)
+	err := snap.ChainEachInto(p, ptr, buf, func(indexedRow sqltypes.Row) bool {
+		joined := out.slab.next(w)
 		if j.IndexedIsLeft {
 			copy(joined, indexedRow)
 			copy(joined[iw:], probeRow)
@@ -92,13 +94,23 @@ func (j *IndexedJoinExec) joinProbeRow(snap *core.Snapshot, p int, probeRow sqlt
 			}
 		}
 		matched = true
-		out.add(joined)
+		out.take(w)
 		return true
 	})
 	if err != nil {
 		return matched, err
 	}
 	return matched, evalErr
+}
+
+// padRow appends probeRow followed by indexedWidth NULLs to out (the left
+// outer join's unmatched probe row).
+func padRow(out *sliceBuilder, probeRow sqltypes.Row, indexedWidth int) {
+	r := out.take(len(probeRow) + indexedWidth)
+	copy(r, probeRow)
+	for i := len(probeRow); i < len(r); i++ {
+		r[i] = sqltypes.Null
+	}
 }
 
 // Execute implements Exec.
@@ -136,6 +148,10 @@ func (j *IndexedJoinExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 		}
 		return ec.RDD.NewIterRDD(nil, n, func(tc *rdd.TaskContext, p int, _ sqltypes.RowIter) (sqltypes.RowIter, error) {
 			var b sliceBuilder
+			if len(routed[p]) == 0 {
+				return b.iter(), nil // no probe row routes here
+			}
+			buf := make(sqltypes.Row, indexedWidth)
 			st.AddRowsIn(int64(len(routed[p])))
 			for i, probeRow := range routed[p] {
 				if i%1024 == 0 {
@@ -143,12 +159,12 @@ func (j *IndexedJoinExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 						return nil, err
 					}
 				}
-				matched, err := j.joinProbeRow(snap, p, probeRow, residual, &b)
+				matched, err := j.joinProbeRow(snap, p, probeRow, residual, buf, &b)
 				if err != nil {
 					return nil, err
 				}
 				if !matched && j.Type == LeftOuterJoin && !j.IndexedIsLeft {
-					b.add(probeRow.Concat(nullRow(indexedWidth)))
+					padRow(&b, probeRow, indexedWidth)
 				}
 			}
 			return obs.Rows(st, b.iter()), nil
@@ -162,6 +178,7 @@ func (j *IndexedJoinExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 	shuffled := ec.RDD.NewShuffledRDD(probeRDD, part)
 	return ec.RDD.NewIterRDD(shuffled, 0, func(tc *rdd.TaskContext, p int, in sqltypes.RowIter) (sqltypes.RowIter, error) {
 		var b sliceBuilder
+		buf := make(sqltypes.Row, indexedWidth)
 		in = obs.CountInto(st, in)
 		for n := 0; ; n++ {
 			if n%1024 == 0 {
@@ -176,12 +193,12 @@ func (j *IndexedJoinExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 			if probeRow == nil {
 				break
 			}
-			matched, err := j.joinProbeRow(snap, p, probeRow, residual, &b)
+			matched, err := j.joinProbeRow(snap, p, probeRow, residual, buf, &b)
 			if err != nil {
 				return nil, err
 			}
 			if !matched && j.Type == LeftOuterJoin && !j.IndexedIsLeft {
-				b.add(probeRow.Concat(nullRow(indexedWidth)))
+				padRow(&b, probeRow, indexedWidth)
 			}
 		}
 		return obs.Rows(st, b.iter()), nil

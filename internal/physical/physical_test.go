@@ -1,6 +1,7 @@
 package physical
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -381,5 +382,63 @@ func TestNormalizeKeyAndEncodeValues(t *testing.T) {
 	d := string(appendValuesKey(nil, []sqltypes.Value{sqltypes.NewInt64(0)}))
 	if c == d {
 		t.Fatal("NULL collides with zero")
+	}
+}
+
+// TestSlabRowsAreIsolated pins the slab contract: rows an operator carves
+// from one shared slab behave as separate rows. Appending to one row and
+// overwriting a value of another leaves every other row as decoded.
+func TestSlabRowsAreIsolated(t *testing.T) {
+	ct, err := core.NewIndexedTable(schema2(), 0, core.Options{NumPartitions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []sqltypes.Row
+	for i := 0; i < 300; i++ { // spans several slabs: 1, 2, 4, ...
+		rows = append(rows, sqltypes.Row{sqltypes.NewInt64(int64(i % 100)), sqltypes.NewString(fmt.Sprintf("v%d", i))})
+	}
+	if err := ct.Append(rows); err != nil {
+		t.Fatal(err)
+	}
+	it := catalog.NewIndexedTable("it", ct)
+	probe := NewValues(rowsN(100, 100), schema2())
+	kOf := expr.B(0, sqltypes.Int64, "k")
+	cases := []struct {
+		name string
+		exec Exec
+	}{
+		{"scan", NewIndexedScan(it, nil, it.Schema())},
+		{"projected scan", NewIndexedScan(it, []int{1}, it.Schema().Project([]int{1}))},
+		{"lookup", NewIndexLookup(it, expr.LitInt64(7), nil, it.Schema())},
+		{"filter", NewFilter(NewIndexedScan(it, nil, it.Schema()), expr.NewCmp(expr.Ge, kOf, expr.LitInt64(10)))},
+		{"vectorized scan", NewVecIndexedScan(it, nil, it.Schema())},
+		{"joined broadcast", NewIndexedJoin(it, probe, 0, true, true, InnerJoin, nil, it.Schema().Concat(schema2()))},
+		{"joined shuffle", NewIndexedJoin(it, probe, 0, false, false, InnerJoin,
+			expr.NewCmp(expr.Ne, expr.B(3, sqltypes.String, "v"), expr.LitString("v1")), schema2().Concat(it.Schema()))},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := collect(t, tc.exec)
+			if len(got) < 3 {
+				t.Fatalf("%d rows, want at least 3", len(got))
+			}
+			want := make([]string, len(got))
+			for i, r := range got {
+				want[i] = r.String()
+			}
+			for i, r := range got {
+				switch i % 3 {
+				case 0:
+					r[0] = sqltypes.NewInt64(-2)
+				case 1:
+					_ = append(r, sqltypes.NewInt64(-1))
+				}
+			}
+			for i, r := range got {
+				if i%3 != 0 && r.String() != want[i] {
+					t.Fatalf("row %d = %s after mutating its neighbours, want %s", i, r, want[i])
+				}
+			}
+		})
 	}
 }

@@ -119,22 +119,22 @@ func (s *IndexedScanExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 	snap := ec.SnapshotOf(s.Table.Core())
 	proj := s.Projection
 	st := ec.Stats(s)
+	width := s.schema.Len()
 	return ec.RDD.NewIterRDD(nil, snap.NumPartitions(), func(tc *rdd.TaskContext, p int, _ sqltypes.RowIter) (sqltypes.RowIter, error) {
+		// A header-only pass counts the visible rows, so the output and its
+		// slabs are sized exactly; every row decodes straight into place.
+		nRows, err := snap.PartitionRowCount(p)
+		if err != nil {
+			return nil, err
+		}
 		var b sliceBuilder
-		var err error
-		n := 0
-		visit := func(row sqltypes.Row) bool {
-			if n++; n%1024 == 0 && tc.Err() != nil {
-				return false // cancelled mid-scan; surfaced below
+		b.size(nRows)
+		err = snap.ScanPartitionInto(p, proj, func() sqltypes.Row {
+			if len(b.rows)%1024 == 0 && tc.Err() != nil {
+				return nil // cancelled mid-scan; surfaced below
 			}
-			b.add(row.Clone())
-			return true
-		}
-		if proj == nil {
-			err = snap.ScanPartition(p, visit)
-		} else {
-			err = snap.ScanPartitionColumns(p, proj, visit)
-		}
+			return b.take(width)
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -211,7 +211,7 @@ func (s *IndexLookupExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 					return true
 				}
 			}
-			b.add(row.Clone())
+			copy(b.take(len(row)), row)
 			return true
 		})
 		if err != nil {

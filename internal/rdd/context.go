@@ -209,8 +209,25 @@ func (c *Context) computeTask(ctx context.Context, r RDD, p int, qs *obs.QuerySt
 // drainCtx materializes an iterator, checking for cancellation between
 // blocks of rows so runaway tasks stop promptly, and charging the
 // buffered rows to the query's memory tracker block by block — an
-// over-budget gather fails mid-drain, not after it OOMs.
+// over-budget gather fails mid-drain, not after it OOMs. An iterator that
+// already holds its rows as a slice hands that slice over instead of being
+// copied row by row; the slice is checked and charged the same way, once.
 func drainCtx(ctx context.Context, it sqltypes.RowIter) ([]sqltypes.Row, int64, error) {
+	if h, ok := it.(sqltypes.RowsHolder); ok {
+		if err := ctx.Err(); err != nil {
+			return nil, 0, err
+		}
+		if rows, ok := h.Rest(); ok {
+			var bytes int64
+			for _, row := range rows {
+				bytes += RowBytes(row)
+			}
+			if err := memory.FromContext(ctx).Reserve("result buffer", bytes); err != nil {
+				return nil, 0, err
+			}
+			return rows, bytes, nil
+		}
+	}
 	const checkEvery = 1024
 	mem := memory.FromContext(ctx)
 	var out []sqltypes.Row
@@ -239,6 +256,11 @@ func drainCtx(ctx context.Context, it sqltypes.RowIter) ([]sqltypes.Row, int64, 
 				charged = bytes
 			}
 			return out, charged, nil
+		}
+		if len(out) == cap(out) {
+			// Double rather than take append's 1.25x step for large
+			// slices, which copies a long drain about five times over.
+			out = append(make([]sqltypes.Row, 0, max(2*cap(out), 64)), out...)
 		}
 		out = append(out, row)
 		bytes += RowBytes(row)

@@ -184,6 +184,24 @@ func (it *SliceIter) Next() (Row, error) {
 	return r, nil
 }
 
+// Rest hands over the rows not yet delivered, exhausting the iterator. The
+// slice is capped at its length, so appending to it never writes into the
+// backing array of the slice the iterator was built over.
+func (it *SliceIter) Rest() ([]Row, bool) {
+	rest := it.rows[it.pos:len(it.rows):len(it.rows)]
+	it.pos = len(it.rows)
+	return rest, true
+}
+
+// RowsHolder is a RowIter that may already hold its remaining rows as a
+// slice. Rest returns them and exhausts the iterator; ok is false, and the
+// iterator untouched, when it does not hold them (a wrapper whose inner
+// iterator streams).
+type RowsHolder interface {
+	RowIter
+	Rest() (rows []Row, ok bool)
+}
+
 // Drain reads an iterator to completion and returns all rows.
 func Drain(it RowIter) ([]Row, error) {
 	var out []Row

@@ -36,13 +36,16 @@ func (it *SliceIter) Next() (*Batch, error) {
 // Row adapters — the boundary between batch and row operators.
 
 // RowIter adapts a BatchIter to a sqltypes.RowIter, materializing one row
-// per Next. It also exposes the wrapped batch stream so a downstream
-// vectorized operator can splice out the adapter pair (see AsBatchIter)
-// and keep the data columnar end to end.
+// per Next. A batch's rows share one slab of values, allocated when the
+// batch arrives; each row is a three-index slice of it, so appending to one
+// row never overwrites the next. It also exposes the wrapped batch stream
+// so a downstream vectorized operator can splice out the adapter pair (see
+// AsBatchIter) and keep the data columnar end to end.
 type RowIter struct {
 	in      BatchIter
 	cur     *Batch
 	pos     int
+	slab    []sqltypes.Value
 	started bool
 }
 
@@ -54,7 +57,9 @@ func (it *RowIter) Next() (sqltypes.Row, error) {
 	it.started = true
 	for {
 		if it.cur != nil && it.pos < it.cur.Len() {
-			r := it.cur.Row(it.pos)
+			w := len(it.cur.Cols)
+			r := it.slab[it.pos*w : (it.pos+1)*w : (it.pos+1)*w]
+			it.cur.RowInto(r, it.pos)
 			it.pos++
 			return r, nil
 		}
@@ -66,6 +71,7 @@ func (it *RowIter) Next() (sqltypes.Row, error) {
 			return nil, nil
 		}
 		it.cur, it.pos = b, 0
+		it.slab = make([]sqltypes.Value, b.Len()*len(b.Cols))
 	}
 }
 
