@@ -51,11 +51,11 @@ func Analyze(n plan.Node) (plan.Node, error) {
 			if t.Cond == nil {
 				return node, nil
 			}
-			ls, rs := t.Left.Schema(), t.Right.Schema()
-			if ls == nil || rs == nil {
+			js := t.Schema()
+			if js == nil {
 				return nil, fmt.Errorf("opt: join over unresolved children")
 			}
-			b, err := bindExpr(t.Cond, ls.Concat(rs), false)
+			b, err := bindExpr(t.Cond, js, false)
 			if err != nil {
 				return nil, err
 			}

@@ -55,22 +55,25 @@ type PlannerConfig struct {
 
 // Planner lowers optimized logical plans to physical plans.
 type Planner struct {
-	cfg PlannerConfig
+	cfg   PlannerConfig
+	rules []Rule // the batch Optimize runs, fixed by cfg.Ablate
 }
 
 // NewPlanner builds a planner. The caller supplies ShufflePartitions and
-// BroadcastThreshold (the session's Config defaults them).
-func NewPlanner(cfg PlannerConfig) *Planner { return &Planner{cfg: cfg} }
-
-// Optimize runs the logical rule batch with the planner's cost model:
-// the package-level rules plus, when statistics are enabled, the
+// BroadcastThreshold (the session's Config defaults them). The logical
+// batch is the package-level rules plus, when statistics are enabled, the
 // conjunct reorder rule (cheapest-most-selective-first filters).
-func (pl *Planner) Optimize(n plan.Node) (plan.Node, error) {
+func NewPlanner(cfg PlannerConfig) *Planner {
 	rules := DefaultRules()
-	if !pl.cfg.Ablate.Has(NoStats) {
+	if !cfg.Ablate.Has(NoStats) {
 		rules = append(rules, Rule{Name: "ReorderFilterConjuncts", Apply: reorderFilterConjuncts})
 	}
-	return optimizeWith(n, rules)
+	return &Planner{cfg: cfg, rules: rules}
+}
+
+// Optimize runs the planner's logical rule batch to its fixpoint.
+func (pl *Planner) Optimize(n plan.Node) (plan.Node, error) {
+	return optimizeWith(n, pl.rules)
 }
 
 // Plan lowers an analyzed, optimized logical plan and — unless ablated —

@@ -6,7 +6,10 @@ import (
 	"indexeddf/internal/sqltypes"
 )
 
-// Rule is one logical rewrite.
+// Rule is one logical rewrite. A rule that does not fire must return its
+// input node itself (the same pointer), never an equal rebuild: the
+// fixpoint driver detects "nothing changed" by node identity. Transform
+// and expr.Transform keep this contract when their callbacks do.
 type Rule struct {
 	Name  string
 	Apply func(plan.Node) (plan.Node, error)
@@ -33,7 +36,8 @@ func Optimize(n plan.Node) (plan.Node, error) {
 	return optimizeWith(n, DefaultRules())
 }
 
-// optimizeWith runs a rule batch to a bounded fixpoint.
+// optimizeWith runs a rule batch to a bounded fixpoint: it stops after
+// the first pass in which every rule returned its input node.
 func optimizeWith(n plan.Node, rules []Rule) (plan.Node, error) {
 	for iter := 0; iter < 8; iter++ {
 		changed := false
@@ -42,7 +46,7 @@ func optimizeWith(n plan.Node, rules []Rule) (plan.Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			if plan.TreeString(out) != plan.TreeString(n) {
+			if out != n {
 				changed = true
 			}
 			n = out

@@ -37,6 +37,8 @@ func (s Stats) Col(i int) *stats.ColumnStats {
 type Node interface {
 	// Schema returns the node's output schema; nil until the plan is
 	// analyzed (expression-bearing nodes need binding to know types).
+	// Nodes build their schema once and share it: callers must treat it
+	// as read-only.
 	Schema() *sqltypes.Schema
 	// Children returns input plans.
 	Children() []Node
@@ -53,20 +55,22 @@ type Node interface {
 // Relation scans a catalog table. Alias qualifies the output columns
 // (defaulting to the table name) so joins can disambiguate.
 type Relation struct {
-	Table catalog.Table
-	Alias string
+	Table  catalog.Table
+	Alias  string
+	schema *sqltypes.Schema
 }
 
-// NewRelation builds a relation node.
+// NewRelation builds a relation node, qualifying the table's columns by
+// the alias once.
 func NewRelation(t catalog.Table, alias string) *Relation {
 	if alias == "" {
 		alias = t.Name()
 	}
-	return &Relation{Table: t, Alias: alias}
+	return &Relation{Table: t, Alias: alias, schema: t.Schema().Qualify(alias)}
 }
 
 // Schema implements Node; columns are qualified by the alias.
-func (r *Relation) Schema() *sqltypes.Schema { return r.Table.Schema().Qualify(r.Alias) }
+func (r *Relation) Schema() *sqltypes.Schema { return r.schema }
 
 // Children implements Node.
 func (r *Relation) Children() []Node { return nil }
@@ -253,18 +257,23 @@ type Join struct {
 	Type        JoinType
 	Left, Right Node
 	Cond        expr.Expr // nil = cross join
+	schema      *sqltypes.Schema
 }
 
 // NewJoin builds a join node.
 func NewJoin(t JoinType, left, right Node, cond expr.Expr) *Join {
-	return &Join{Type: t, Left: left, Right: right, Cond: cond}
+	j := &Join{Type: t, Left: left, Right: right, Cond: cond}
+	j.computeSchema()
+	return j
 }
 
-// Schema implements Node.
-func (j *Join) Schema() *sqltypes.Schema {
+// computeSchema concatenates the children's schemas; nil until both are
+// resolved. Schemas are shared read-only, so the outer join's nullable
+// marks go on the fresh Concat copy, never on the right child's fields.
+func (j *Join) computeSchema() {
 	l, r := j.Left.Schema(), j.Right.Schema()
 	if l == nil || r == nil {
-		return nil
+		return
 	}
 	out := l.Concat(r)
 	if j.Type == LeftOuterJoin {
@@ -272,8 +281,11 @@ func (j *Join) Schema() *sqltypes.Schema {
 			out.Fields[i].Nullable = true
 		}
 	}
-	return out
+	j.schema = out
 }
+
+// Schema implements Node.
+func (j *Join) Schema() *sqltypes.Schema { return j.schema }
 
 // Children implements Node.
 func (j *Join) Children() []Node { return []Node{j.Left, j.Right} }
@@ -663,28 +675,29 @@ func TreeString(n Node) string {
 	return sb.String()
 }
 
-// Transform rewrites the plan bottom-up.
+// Transform rewrites the plan bottom-up. A node none of whose children
+// changed is passed to fn as itself, so a tree fn leaves alone comes back
+// as the same pointer.
 func Transform(n Node, fn func(Node) (Node, error)) (Node, error) {
 	children := n.Children()
-	if len(children) > 0 {
-		newChildren := make([]Node, len(children))
-		changed := false
-		for i, c := range children {
-			nc, err := Transform(c, fn)
-			if err != nil {
-				return nil, err
-			}
-			newChildren[i] = nc
-			if nc != c {
-				changed = true
-			}
+	var newChildren []Node // allocated at the first changed child
+	for i, c := range children {
+		nc, err := Transform(c, fn)
+		if err != nil {
+			return nil, err
 		}
-		if changed {
-			var err error
-			n, err = n.WithChildren(newChildren)
-			if err != nil {
-				return nil, err
-			}
+		if nc != c && newChildren == nil {
+			newChildren = make([]Node, len(children))
+			copy(newChildren, children[:i])
+		}
+		if newChildren != nil {
+			newChildren[i] = nc
+		}
+	}
+	if newChildren != nil {
+		var err error
+		if n, err = n.WithChildren(newChildren); err != nil {
+			return nil, err
 		}
 	}
 	return fn(n)

@@ -38,6 +38,44 @@ func TestRelationSchemaQualified(t *testing.T) {
 	}
 }
 
+// TestSharedSchemas pins that nodes build their schemas once and share
+// them: repeated Schema calls return one pointer, and a left outer join's
+// nullable right side is its own copy, leaving the right child's schema
+// as it was.
+func TestSharedSchemas(t *testing.T) {
+	left, right := NewRelation(table("l", 5), ""), NewRelation(table("r", 5), "b")
+	if left.Schema() != left.Schema() {
+		t.Fatal("Relation.Schema returns a new schema on every call")
+	}
+	if got := right.Schema().Field(1).Name; got != "b.v" {
+		t.Fatalf("relation field = %q, want the alias-qualified b.v", got)
+	}
+	cond := expr.NewCmp(expr.Eq, expr.B(0, sqltypes.Int64, "l.id"), expr.B(2, sqltypes.Int64, "b.id"))
+	j := NewJoin(LeftOuterJoin, left, right, cond)
+	js := j.Schema()
+	if js != j.Schema() {
+		t.Fatal("Join.Schema returns a new schema on every call")
+	}
+	if js.Len() != 4 || js.Field(0).Nullable || !js.Field(2).Nullable || !js.Field(3).Nullable {
+		t.Fatalf("left outer join schema = %s, want only the right side nullable", js)
+	}
+	for i, f := range right.Schema().Fields {
+		if f.Nullable {
+			t.Fatalf("left outer join marked the right child's field %d nullable: %s", i, right.Schema())
+		}
+	}
+	inner := NewJoin(InnerJoin, left, right, cond)
+	if inner.Schema().Field(2).Nullable {
+		t.Fatalf("inner join schema = %s, want the right side as the child has it", inner.Schema())
+	}
+	// Transform with a callback that never fires hands back the same tree.
+	root := NewLimit(3, NewFilter(cond, j))
+	out, err := Transform(root, func(n Node) (Node, error) { return n, nil })
+	if err != nil || out != Node(root) {
+		t.Fatalf("identity transform rebuilt the tree (err %v)", err)
+	}
+}
+
 func TestProjectSchemaAndStats(t *testing.T) {
 	rel := NewRelation(table("t", 100), "")
 	// Unresolved exprs -> nil schema.

@@ -257,12 +257,7 @@ func drainCtx(ctx context.Context, it sqltypes.RowIter) ([]sqltypes.Row, int64, 
 			}
 			return out, charged, nil
 		}
-		if len(out) == cap(out) {
-			// Double rather than take append's 1.25x step for large
-			// slices, which copies a long drain about five times over.
-			out = append(make([]sqltypes.Row, 0, max(2*cap(out), 64)), out...)
-		}
-		out = append(out, row)
+		out = sqltypes.AppendRow(out, row)
 		bytes += RowBytes(row)
 	}
 }

@@ -202,6 +202,16 @@ type RowsHolder interface {
 	Rest() (rows []Row, ok bool)
 }
 
+// AppendRow appends r to rows, doubling the capacity when it is full
+// rather than taking append's 1.25x step for large slices, which copies a
+// long materialization about five times over.
+func AppendRow(rows []Row, r Row) []Row {
+	if len(rows) == cap(rows) {
+		rows = append(make([]Row, 0, max(2*cap(rows), 64)), rows...)
+	}
+	return append(rows, r)
+}
+
 // Drain reads an iterator to completion and returns all rows.
 func Drain(it RowIter) ([]Row, error) {
 	var out []Row

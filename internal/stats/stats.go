@@ -169,6 +169,10 @@ type Table struct {
 	cols    []colAcc
 	valid   bool
 	version int64 // bumped on every Observe/Invalidate/Rebuild
+	// snap is the last Snapshot, built at version snapAt; it is returned
+	// again while the version holds.
+	snap   []*ColumnStats
+	snapAt int64
 }
 
 // NewTable returns an empty, valid statistics accumulator for a table
@@ -260,7 +264,9 @@ func (t *Table) Version() int64 {
 }
 
 // Snapshot returns per-column statistics, or nil when the accumulator
-// is stale (a delete occurred since the last Rebuild) or t is nil.
+// is stale (a delete occurred since the last Rebuild) or t is nil. The
+// result is built once per version and shared: callers must not modify
+// the slice or its entries.
 func (t *Table) Snapshot() []*ColumnStats {
 	if t == nil {
 		return nil
@@ -269,6 +275,9 @@ func (t *Table) Snapshot() []*ColumnStats {
 	defer t.mu.Unlock()
 	if !t.valid {
 		return nil
+	}
+	if t.snap != nil && t.snapAt == t.version {
+		return t.snap
 	}
 	out := make([]*ColumnStats, len(t.cols))
 	for i := range t.cols {
@@ -288,6 +297,7 @@ func (t *Table) Snapshot() []*ColumnStats {
 		}
 		out[i] = cs
 	}
+	t.snap, t.snapAt = out, t.version
 	return out
 }
 

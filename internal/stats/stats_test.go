@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"indexeddf/internal/sqltypes"
@@ -100,6 +101,85 @@ func TestTableInvalidateRebuild(t *testing.T) {
 	}
 	if cols[0].Min.I != 1 || cols[0].Max.I != 1 {
 		t.Errorf("rebuild range = [%v,%v], want [1,1]", cols[0].Min, cols[0].Max)
+	}
+}
+
+// TestSnapshotMemo pins the per-version snapshot memo: repeated calls
+// share one slice, and every mutation — Observe, Invalidate, Rebuild —
+// is visible to the next call without touching snapshots already
+// handed out.
+func TestSnapshotMemo(t *testing.T) {
+	tbl := NewTable(1)
+	var rows []sqltypes.Row
+	for i := 1; i <= 10; i++ {
+		rows = append(rows, sqltypes.Row{sqltypes.NewInt64(int64(i))})
+	}
+	tbl.Observe(rows)
+	first := tbl.Snapshot()
+	if again := tbl.Snapshot(); len(again) != 1 || &again[0] != &first[0] {
+		t.Fatal("two snapshots with no mutation between them are different slices")
+	}
+
+	tbl.Observe([]sqltypes.Row{{sqltypes.NewInt64(100)}, {sqltypes.NewInt64(-5)}})
+	cols := tbl.Snapshot()
+	if cols[0].Count != 12 || cols[0].Min.I != -5 || cols[0].Max.I != 100 {
+		t.Fatalf("after observe: count %d range [%v,%v], want 12 [-5,100]", cols[0].Count, cols[0].Min, cols[0].Max)
+	}
+	if first[0].Count != 10 || first[0].Max.I != 10 {
+		t.Fatalf("observe changed an earlier snapshot: count %d max %v", first[0].Count, first[0].Max)
+	}
+
+	tbl.Invalidate()
+	if tbl.Snapshot() != nil {
+		t.Fatal("snapshot not nil after invalidate")
+	}
+	tbl.Rebuild([]sqltypes.Row{{sqltypes.NewInt64(7)}})
+	cols = tbl.Snapshot()
+	if cols == nil || cols[0].Count != 1 || cols[0].Min.I != 7 || cols[0].Max.I != 7 || cols[0].NDV != 1 {
+		t.Fatalf("after rebuild: %+v, want count 1, range [7,7], NDV 1", cols)
+	}
+}
+
+// TestConcurrentObserveSnapshot runs writers and snapshot readers side by
+// side (meaningful under -race): each reader sees the row count only grow,
+// and the final snapshot counts every row.
+func TestConcurrentObserveSnapshot(t *testing.T) {
+	const writers, readers, batches = 2, 2, 200
+	tbl := NewTable(2)
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < batches; i++ {
+				v := sqltypes.NewInt64(int64(g*batches + i))
+				tbl.Observe([]sqltypes.Row{{v, v}})
+			}
+		}(g)
+	}
+	errs := make(chan error, readers)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var last int64
+			for i := 0; i < batches; i++ {
+				cols := tbl.Snapshot()
+				if cols[0].Count < last || cols[1].Count != cols[0].Count {
+					errs <- fmt.Errorf("snapshot count %d/%d after %d", cols[0].Count, cols[1].Count, last)
+					return
+				}
+				last = cols[0].Count
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if cols := tbl.Snapshot(); cols[0].Count != writers*batches || cols[0].Max.I != writers*batches-1 {
+		t.Fatalf("final snapshot: count %d max %v, want %d and %d", cols[0].Count, cols[0].Max, writers*batches, writers*batches-1)
 	}
 }
 

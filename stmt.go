@@ -169,7 +169,7 @@ func drainRows(rows *Rows) ([]sqltypes.Row, error) {
 	defer rows.Close()
 	var out []sqltypes.Row
 	for rows.Next() {
-		out = append(out, rows.Row())
+		out = sqltypes.AppendRow(out, rows.Row())
 	}
 	if err := rows.Err(); err != nil {
 		return nil, err
