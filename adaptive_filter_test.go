@@ -10,6 +10,7 @@ import (
 
 	"indexeddf"
 	"indexeddf/internal/opt"
+	"indexeddf/internal/stats"
 )
 
 // The adaptive filter cascade must be invisible except for speed:
@@ -204,8 +205,8 @@ func TestAdaptiveFilterReordered(t *testing.T) {
 }
 
 // TestAnalyzeTableStatement drives ANALYZE TABLE through SQL: it must
-// succeed on both table kinds, heal delete-invalidated statistics, and
-// reject unknown tables.
+// succeed on both table kinds, heal statistics a partially failed append
+// invalidated, and reject unknown tables.
 func TestAnalyzeTableStatement(t *testing.T) {
 	sess := indexeddf.NewSession(indexeddf.Config{})
 	schema := indexeddf.NewSchema(
@@ -241,10 +242,51 @@ func TestAnalyzeTableStatement(t *testing.T) {
 		}
 	}
 
-	// Deleting invalidates incremental statistics; ANALYZE rebuilds them.
-	idf.IndexedCore().Delete(indexeddf.V(int64(3)))
+	// An append whose rows span partitions lands its first partition, then
+	// fails to encode a STRING in the BIGINT key column of a row routed to
+	// the last partition. The landed row was never observed, so the
+	// incremental statistics are invalid until ANALYZE rebuilds them.
+	tc := idf.IndexedCore()
+	last := tc.NumPartitions() - 1
+	var good, bad indexeddf.Row
+	for i := 0; good == nil || bad == nil; i++ {
+		if k := indexeddf.V(int64(1000 + i)); good == nil && tc.PartitionFor(k) == 0 {
+			good = indexeddf.Row{k, indexeddf.V("landed")}
+		}
+		if k := indexeddf.V(fmt.Sprintf("boom%d", i)); bad == nil && tc.PartitionFor(k) == last {
+			bad = indexeddf.Row{k, indexeddf.V("lost")}
+		}
+	}
+	if _, err := idf.AppendRowsSlice([]indexeddf.Row{good, bad}); err == nil {
+		t.Fatal("expected the STRING key to fail encoding")
+	}
+	columnStats := func() []*stats.ColumnStats {
+		t.Helper()
+		tbl, ok := sess.LookupTable("indexed")
+		if !ok {
+			t.Fatal("indexed table not registered")
+		}
+		return tbl.(stats.Provider).ColumnStats()
+	}
+	if cs := columnStats(); cs != nil {
+		t.Fatalf("statistics survived a partially failed append: %+v", cs[0])
+	}
 	if _, err := sess.SQL("ANALYZE TABLE indexed"); err != nil {
 		t.Fatal(err)
+	}
+	n, err := idf.Count()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 101 {
+		t.Fatalf("Count = %d, want the 100 rows plus the landed one", n)
+	}
+	cs := columnStats()
+	if cs == nil {
+		t.Fatal("ANALYZE TABLE left statistics invalid")
+	}
+	if cs[0].Count != n {
+		t.Fatalf("rebuilt statistics count %d rows, Count() = %d", cs[0].Count, n)
 	}
 
 	if _, err := sess.SQL("ANALYZE TABLE missing"); err == nil {

@@ -236,7 +236,7 @@ func (t *IndexedTable) Core() *core.IndexedTable { return t.core }
 func (t *IndexedTable) KeyColumn() int { return t.core.KeyColumn() }
 
 // EnableStats starts incremental statistics collection by installing
-// append/delete hooks on the core table, seeding the accumulator from
+// append and invalidate hooks on the core table, seeding the accumulator from
 // the current contents (usually empty — sessions enable stats at
 // CREATE time, before the first append).
 func (t *IndexedTable) EnableStats() {
@@ -264,7 +264,8 @@ func (t *IndexedTable) ensureStats() (st *stats.Table, created bool) {
 }
 
 // ColumnStats implements stats.Provider; nil when collection is off or
-// the accumulator was invalidated by a delete.
+// the accumulator was invalidated by an append that failed part-way (the
+// rows that landed before the failure are visible but were never observed).
 func (t *IndexedTable) ColumnStats() []*stats.ColumnStats {
 	t.statsMu.Lock()
 	st := t.stats

@@ -3,50 +3,28 @@ package core
 import (
 	"sync/atomic"
 
-	"indexeddf/internal/rowbatch"
 	"indexeddf/internal/sqltypes"
 )
 
 // Change capture: the hook incremental materialized views maintain
 // themselves from. When capture is enabled, every partition keeps an
-// ordered log of append/delete records tagged with the table version the
-// mutation produced. Records are value-based (they store the affected rows,
-// not row-batch pointers), so they survive everything except Compact, which
-// rewrites content without producing records and therefore invalidates the
-// log (consumers detect the break and fall back to full recompute).
+// ordered log of append records. Records are value-based (they store the
+// appended rows, not row-batch pointers). A log breaks only when an append
+// fails part-way or capture is turned off; consumers detect the break and
+// fall back to full recompute.
 //
 // The log is per partition and is appended while holding the same partition
-// lock that guards the physical mutation. A Snapshot records, under that
+// lock that guards the physical append. A Snapshot records, under that
 // same lock, the log sequence number alongside the row-batch watermarks —
 // so a snapshot's visible content in partition p is EXACTLY the prefix of
 // p's log up to the recorded mark. Delta consumers that fold log records up
 // to a snapshot's marks and recompute from that same snapshot can never
-// double-count or miss an in-flight mutation.
+// double-count or miss an in-flight append.
 
-// ChangeKind classifies a change record.
-type ChangeKind uint8
-
-// Change kinds.
-const (
-	// ChangeAppend records rows added to the partition.
-	ChangeAppend ChangeKind = iota
-	// ChangeDelete records an index-key removal; Rows holds the rows that
-	// became unreachable (the key's whole chain at removal time).
-	ChangeDelete
-)
-
-func (k ChangeKind) String() string { return [...]string{"append", "delete"}[k] }
-
-// Change is one change record.
+// Change is one change record: the rows one append added to a partition,
+// as private clones.
 type Change struct {
-	// Version is the table version this mutation produced.
-	Version int64
-	Kind    ChangeKind
-	// Rows are the appended rows (ChangeAppend) or the rows made
-	// unreachable (ChangeDelete). They are private clones.
 	Rows []sqltypes.Row
-	// Key is the removed index key (ChangeDelete only).
-	Key sqltypes.Value
 }
 
 // partLog is one partition's change log. All fields are guarded by the
@@ -94,28 +72,22 @@ func (t *IndexedTable) DisableChangeCapture() {
 }
 
 // logAppendLocked records appended rows for partition p. Caller holds the
-// partition lock and has already applied the mutation. Returns with the
+// partition lock and has already applied the append. Returns with the
 // global version bumped.
 func (t *IndexedTable) logAppendLocked(part *Partition, rows []sqltypes.Row) {
-	v := t.version.Add(1)
+	t.version.Add(1)
 	clones := make([]sqltypes.Row, len(rows))
 	for i, r := range rows {
 		clones[i] = r.Clone()
 	}
-	part.log.entries = append(part.log.entries, Change{Version: v, Kind: ChangeAppend, Rows: clones})
+	part.log.entries = append(part.log.entries, Change{Rows: clones})
 }
 
-// logDeleteLocked records a key removal for partition p (rows are the
-// chain's rows, already cloned). Caller holds the partition lock.
-func (t *IndexedTable) logDeleteLocked(part *Partition, key sqltypes.Value, rows []sqltypes.Row) {
-	v := t.version.Add(1)
-	part.log.entries = append(part.log.entries, Change{Version: v, Kind: ChangeDelete, Rows: rows, Key: key})
-}
-
-// invalidateLogLocked breaks partition p's log after an out-of-band content
-// rewrite (Compact): the mark advances past a phantom record so every
-// cursor taken before the rewrite reads as out of range, forcing consumers
-// to full recompute. Caller holds the partition lock.
+// invalidateLogLocked breaks partition p's log when its content changed
+// without a record (a partially failed append, or capture turned off): the
+// mark advances past a phantom record so every cursor taken before the
+// break reads as out of range, forcing consumers to full recompute. Caller
+// holds the partition lock.
 func (t *IndexedTable) invalidateLogLocked(part *Partition) {
 	part.log.floor = part.log.mark() + 1
 	part.log.entries = nil
@@ -123,7 +95,7 @@ func (t *IndexedTable) invalidateLogLocked(part *Partition) {
 
 // ChangesBetween returns partition p's change records with sequence numbers
 // in [from, to). ok is false when the log no longer reaches back to from
-// (capture was off, records were pruned, or Compact invalidated the log) —
+// (capture was off, records were pruned, or a failed append broke the log) —
 // the caller must rebuild from a snapshot instead of folding a delta.
 func (t *IndexedTable) ChangesBetween(p int, from, to int64) (changes []Change, ok bool) {
 	part := t.parts[p]
@@ -180,28 +152,4 @@ func (t *IndexedTable) ChangeLogSize() int64 {
 		part.mu.Unlock()
 	}
 	return n
-}
-
-// collectChainLocked clones the rows currently reachable from key's chain
-// in part. Caller holds the partition lock.
-func (t *IndexedTable) collectChainLocked(part *Partition, key sqltypes.Value) ([]sqltypes.Row, error) {
-	ptr, ok := part.index.Lookup(key)
-	if !ok {
-		return nil, nil
-	}
-	var rows []sqltypes.Row
-	row := make(sqltypes.Row, t.schema.Len())
-	var decodeErr error
-	err := part.batches.Chain(ptr, func(_ rowbatch.Ptr, payload []byte) bool {
-		if e := t.codec.DecodeInto(payload, row); e != nil {
-			decodeErr = e
-			return false
-		}
-		rows = append(rows, row.Clone())
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, decodeErr
 }

@@ -58,46 +58,18 @@ func TestChangeCaptureOffByDefault(t *testing.T) {
 	}
 }
 
-func TestChangeCaptureAppendDelete(t *testing.T) {
+func TestChangeCaptureAppend(t *testing.T) {
 	tbl := newLogTable(t, 2)
 	tbl.EnableChangeCapture()
 	if err := tbl.Append([]sqltypes.Row{logRow(1, 10), logRow(1, 11), logRow(2, 20)}); err != nil {
 		t.Fatal(err)
 	}
-	changes := allChanges(t, tbl)
 	var appended int
-	for _, ch := range changes {
-		if ch.Kind != ChangeAppend {
-			t.Fatalf("unexpected kind %s", ch.Kind)
-		}
+	for _, ch := range allChanges(t, tbl) {
 		appended += len(ch.Rows)
 	}
 	if appended != 3 {
 		t.Fatalf("appended rows logged = %d, want 3", appended)
-	}
-
-	// Delete must carry the key's whole chain.
-	if !tbl.Delete(sqltypes.NewInt64(1)) {
-		t.Fatal("delete missed")
-	}
-	changes = allChanges(t, tbl)
-	var del *Change
-	for i := range changes {
-		if changes[i].Kind == ChangeDelete {
-			del = &changes[i]
-		}
-	}
-	if del == nil {
-		t.Fatal("no delete record")
-	}
-	if len(del.Rows) != 2 {
-		t.Fatalf("delete record carries %d rows, want the chain of 2", len(del.Rows))
-	}
-	if !sqltypes.Equal(del.Key, sqltypes.NewInt64(1)) {
-		t.Fatalf("delete key = %v", del.Key)
-	}
-	if del.Version <= 0 {
-		t.Fatalf("delete version = %d, want table-version tag", del.Version)
 	}
 }
 
@@ -164,38 +136,6 @@ func TestPruneChanges(t *testing.T) {
 	}
 }
 
-func TestCompactInvalidatesLog(t *testing.T) {
-	tbl := newLogTable(t, 1)
-	tbl.EnableChangeCapture()
-	for i := int64(0); i < 5; i++ {
-		if err := tbl.Append([]sqltypes.Row{logRow(1, i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cursor := tbl.ChangeMark(0)
-	// onlyNewest drops 4 chain rows without producing change records.
-	dropped, err := tbl.Compact(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dropped != 4 {
-		t.Fatalf("dropped = %d", dropped)
-	}
-	if _, ok := tbl.ChangesBetween(0, cursor, tbl.ChangeMark(0)); ok {
-		t.Fatal("pre-compact cursor must be invalidated")
-	}
-	// A consumer re-anchored at a post-compact snapshot folds cleanly.
-	snap := tbl.Snapshot()
-	newCursor := snap.ChangeMark(0)
-	if err := tbl.Append([]sqltypes.Row{logRow(9, 9)}); err != nil {
-		t.Fatal(err)
-	}
-	delta, ok := tbl.ChangesBetween(0, newCursor, tbl.ChangeMark(0))
-	if !ok || len(delta) != 1 {
-		t.Fatalf("post-compact delta: ok=%v len=%d", ok, len(delta))
-	}
-}
-
 func TestDisableChangeCaptureClearsLog(t *testing.T) {
 	tbl := newLogTable(t, 2)
 	tbl.EnableChangeCapture()
@@ -242,20 +182,5 @@ func TestPartialAppendFailureInvalidatesLog(t *testing.T) {
 	}
 	if _, ok := tbl.ChangesBetween(0, cursor, tbl.ChangeMark(0)); ok {
 		t.Fatal("partially applied batch must break the log, not vanish from it")
-	}
-}
-
-func TestNoOpCompactKeepsLog(t *testing.T) {
-	tbl := newLogTable(t, 1)
-	tbl.EnableChangeCapture()
-	if err := tbl.Append([]sqltypes.Row{logRow(1, 1), logRow(2, 2)}); err != nil {
-		t.Fatal(err)
-	}
-	cursor := int64(0)
-	if _, err := tbl.Compact(false); err != nil { // nothing reclaimable
-		t.Fatal(err)
-	}
-	if _, ok := tbl.ChangesBetween(0, cursor, tbl.ChangeMark(0)); !ok {
-		t.Fatal("no-op compact should not invalidate the log")
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -201,29 +202,6 @@ func TestScanPartitionColumns(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	tbl := newTable(t, 2)
-	if err := tbl.Append([]sqltypes.Row{mkRow(1, "a", 0), mkRow(1, "b", 0), mkRow(2, "c", 0)}); err != nil {
-		t.Fatal(err)
-	}
-	if !tbl.Delete(sqltypes.NewInt64(1)) {
-		t.Fatal("Delete(1) = false")
-	}
-	if tbl.Delete(sqltypes.NewInt64(99)) {
-		t.Fatal("Delete(missing) = true")
-	}
-	snap := tbl.Snapshot()
-	if rows, _ := snap.GetRows(sqltypes.NewInt64(1)); len(rows) != 0 {
-		t.Fatal("deleted key still reachable")
-	}
-	if rows, _ := snap.GetRows(sqltypes.NewInt64(2)); len(rows) != 1 {
-		t.Fatal("unrelated key disturbed by delete")
-	}
-	if tbl.DistinctKeys() != 1 {
-		t.Fatalf("DistinctKeys after delete = %d", tbl.DistinctKeys())
-	}
-}
-
 func TestMemoryUsageAccounting(t *testing.T) {
 	tbl := newTable(t, 2)
 	rows := make([]sqltypes.Row, 0, 1000)
@@ -359,5 +337,107 @@ func TestQuickAppendLookup(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestScanWalksEveryVersionInAppendOrder pins the single scan path: a scan
+// is the append-order walk over the snapshot's batch watermarks, so it
+// yields every version of every key, overwrites included.
+func TestScanWalksEveryVersionInAppendOrder(t *testing.T) {
+	const (
+		keys       = 10000
+		overwrites = 1000
+		total      = keys + overwrites
+		hot        = int64(42)
+	)
+	tbl, err := NewIndexedTable(testSchema(), 0, Options{NumPartitions: 4, BatchSize: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pad := strings.Repeat("x", 100)
+	// Row seq carries its append sequence in score: keys 0..9999 once
+	// each, then the hot key over and over.
+	var mid *Snapshot
+	for seq := 0; seq < total; seq++ {
+		k := int64(seq)
+		if seq >= keys {
+			k = hot
+		}
+		if err := tbl.Append([]sqltypes.Row{mkRow(k, pad, float64(seq))}); err != nil {
+			t.Fatal(err)
+		}
+		if seq+1 == total/2 {
+			mid = tbl.Snapshot()
+		}
+	}
+	for p := range tbl.parts {
+		if n := tbl.parts[p].batches.NumBatches(); n < 4 {
+			t.Fatalf("partition %d spans %d batches, want several", p, n)
+		}
+	}
+
+	// scanSeqs checks each partition yields strictly increasing sequence
+	// numbers and returns them all, with the per-partition row counts.
+	scanSeqs := func(snap *Snapshot) (seen []bool, counted int64) {
+		seen = make([]bool, total)
+		for p := 0; p < snap.NumPartitions(); p++ {
+			last := -1
+			if err := snap.ScanPartition(p, func(row sqltypes.Row) bool {
+				seq := int(row[2].Float64Val())
+				if seq <= last {
+					t.Fatalf("partition %d: seq %d after %d", p, seq, last)
+				}
+				if seen[seq] {
+					t.Fatalf("seq %d scanned twice", seq)
+				}
+				last, seen[seq] = seq, true
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			n, err := snap.PartitionRowCount(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counted += int64(n)
+		}
+		return seen, counted
+	}
+
+	seen, counted := scanSeqs(tbl.Snapshot())
+	for seq, ok := range seen {
+		if !ok {
+			t.Fatalf("seq %d missing from the scan", seq)
+		}
+	}
+	if counted != tbl.RowCount() || counted != total {
+		t.Fatalf("partition row counts sum to %d, RowCount %d, want %d", counted, tbl.RowCount(), total)
+	}
+
+	rows, err := tbl.Snapshot().GetRows(sqltypes.NewInt64(hot))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != overwrites+1 {
+		t.Fatalf("GetRows(hot) = %d rows, want %d", len(rows), overwrites+1)
+	}
+	for i, r := range rows {
+		want := total - 1 - i // newest first
+		if i == overwrites {
+			want = int(hot) // the original load row
+		}
+		if got := int(r[2].Float64Val()); got != want {
+			t.Fatalf("GetRows(hot)[%d] seq = %d, want %d", i, got, want)
+		}
+	}
+
+	seen, counted = scanSeqs(mid)
+	for seq, ok := range seen {
+		if ok != (seq < total/2) {
+			t.Fatalf("halfway snapshot: seq %d visible=%v", seq, ok)
+		}
+	}
+	if counted != total/2 {
+		t.Fatalf("halfway snapshot counts %d rows, want %d", counted, total/2)
 	}
 }

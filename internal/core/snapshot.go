@@ -30,11 +30,6 @@ type partSnapshot struct {
 	// folds log records up to this mark and recomputes from this snapshot
 	// without double-counting in-flight mutations.
 	changeMark int64
-	// deletes is the partition's delete count at snapshot time. Zero means
-	// every batch row is index-reachable and scans may walk batches in
-	// append order; otherwise scans walk the frozen index so deleted
-	// (unreachable) rows stay invisible.
-	deletes int64
 }
 
 // Snapshot pins the table's current state. Cost is O(partitions), each
@@ -46,7 +41,9 @@ func (t *IndexedTable) Snapshot() *Snapshot {
 		parts:   make([]partSnapshot, len(t.parts)),
 	}
 	for i, p := range t.parts {
-		p.mu.Lock() // pin a consistent (index, batches) pair across Compact
+		// The Ctrie snapshot, the watermarks and the change mark are taken
+		// together, with no append in between.
+		p.mu.Lock()
 		changeMark := int64(-1)
 		if t.capture.enabled.Load() {
 			changeMark = p.log.mark()
@@ -56,7 +53,6 @@ func (t *IndexedTable) Snapshot() *Snapshot {
 			marks:      p.batches.Watermarks(),
 			batches:    p.batches,
 			changeMark: changeMark,
-			deletes:    p.deletes,
 		}
 		p.mu.Unlock()
 	}
@@ -136,11 +132,8 @@ func (s *Snapshot) ChainEachInto(p int, ptr rowbatch.Ptr, row sqltypes.Row, fn f
 	return decodeErr
 }
 
-// ScanPartition iterates partition p's visible rows within the snapshot,
-// decoding full rows into a reused buffer. Partitions untouched by Delete
-// stream their batches in append order; otherwise the scan walks the
-// frozen index (trie order, chains newest first) so rows made unreachable
-// by Delete stay invisible to queries until compaction reclaims them.
+// ScanPartition iterates partition p's rows within the snapshot in append
+// order, decoding full rows into a reused buffer.
 func (s *Snapshot) ScanPartition(p int, fn func(sqltypes.Row) bool) error {
 	return s.scanReused(p, nil, s.table.schema.Len(), fn)
 }
@@ -191,67 +184,32 @@ func (s *Snapshot) decode(payload []byte, cols []int, row sqltypes.Row) error {
 	return nil
 }
 
-// scanPayloads drives a partition scan over the visible row payloads,
-// picking the append-order batch walk when every row is reachable and the
-// index walk otherwise.
+// scanPayloads walks partition p's row batches in append order up to the
+// snapshot's watermarks, streaming each row payload to fn.
 func (s *Snapshot) scanPayloads(p int, fn func(payload []byte) (bool, error)) error {
 	var innerErr error
-	visit := func(payload []byte) bool {
+	err := s.parts[p].batches.Scan(s.parts[p].marks, func(_ rowbatch.Ptr, payload []byte) bool {
 		cont, err := fn(payload)
 		if err != nil {
 			innerErr = err
 			return false
 		}
 		return cont
-	}
-	var err error
-	if s.parts[p].deletes == 0 {
-		err = s.parts[p].batches.Scan(s.parts[p].marks, func(_ rowbatch.Ptr, payload []byte) bool {
-			return visit(payload)
-		})
-	} else {
-		err = s.scanReachable(p, visit)
-	}
+	})
 	if err != nil {
 		return err
 	}
 	return innerErr
 }
 
-// scanReachable walks partition p's frozen index, streaming every payload
-// reachable through a chain. Stops early when visit returns false.
-func (s *Snapshot) scanReachable(p int, visit func(payload []byte) bool) error {
-	var chainErr error
-	stopped := false
-	s.parts[p].index.Iterate(func(_ sqltypes.Value, head rowbatch.Ptr) bool {
-		err := s.parts[p].batches.Chain(head, func(_ rowbatch.Ptr, payload []byte) bool {
-			if !visit(payload) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			chainErr = err
-			return false
-		}
-		return !stopped
-	})
-	return chainErr
-}
-
 // PartitionRowCount counts the rows visible in partition p without
 // decoding them — the vectorized scan's sizing pass.
 func (s *Snapshot) PartitionRowCount(p int) (int, error) {
 	n := 0
-	if s.parts[p].deletes == 0 {
-		err := s.parts[p].batches.Scan(s.parts[p].marks, func(rowbatch.Ptr, []byte) bool {
-			n++
-			return true
-		})
-		return n, err
-	}
-	err := s.scanReachable(p, func([]byte) bool { n++; return true })
+	err := s.parts[p].batches.Scan(s.parts[p].marks, func(rowbatch.Ptr, []byte) bool {
+		n++
+		return true
+	})
 	return n, err
 }
 
@@ -266,12 +224,6 @@ func (s *Snapshot) RowCount() (int64, error) {
 		n += int64(pn)
 	}
 	return n, nil
-}
-
-// IterateKeys streams the distinct keys of partition p with the pointer of
-// their newest row.
-func (s *Snapshot) IterateKeys(p int, fn func(key sqltypes.Value, head rowbatch.Ptr) bool) {
-	s.parts[p].index.Iterate(func(k sqltypes.Value, v rowbatch.Ptr) bool { return fn(k, v) })
 }
 
 // Validate cross-checks snapshot invariants (every index pointer resolves

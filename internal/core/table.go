@@ -4,7 +4,9 @@
 // append-only binary row batches and per-key backward chains, giving
 // sub-linear point lookups and index-powered joins on data that keeps
 // growing, with multi-version concurrency (readers pin O(1) snapshots
-// while appends proceed).
+// while appends proceed). As in the paper, a table only grows: there is
+// no delete, and every row ever appended stays visible to later
+// snapshots.
 package core
 
 import (
@@ -37,18 +39,14 @@ func (o Options) withDefaults() Options {
 }
 
 // Partition is one indexed partition: the cTrie index, the row batches and
-// (threaded through the rows) the backward-pointer lists.
+// (threaded through the rows) the backward-pointer lists. index and
+// batches are set once, in NewIndexedTable.
 type Partition struct {
 	mu      sync.Mutex // serializes appends; reads are lock-free
 	index   *ctrie.Ctrie[sqltypes.Value, rowbatch.Ptr]
 	batches *rowbatch.Set
 	keys    atomic.Int64 // distinct keys
 	log     partLog      // change records (guarded by mu; see changelog.go)
-	// deletes counts Delete() calls since creation/compaction (guarded by
-	// mu). When zero, every batch row is index-reachable and snapshot
-	// scans may walk batches in append order; otherwise they walk the
-	// index so unreachable (deleted) rows stay invisible to queries.
-	deletes int64
 }
 
 // IndexedTable is the Indexed DataFrame's storage: a set of indexed
@@ -66,8 +64,9 @@ type IndexedTable struct {
 
 // StatsHooks lets the catalog maintain table statistics incrementally.
 // OnAppend is called with each successfully appended row slice;
-// OnInvalidate whenever the table changes in a way that cannot be
-// folded into additive statistics (deletes, partial-failure appends).
+// OnInvalidate when an append fails part-way: the rows that landed are
+// visible but unknown to the caller, so they cannot be folded into
+// additive statistics.
 type StatsHooks struct {
 	OnAppend     func(rows []sqltypes.Row)
 	OnInvalidate func()
@@ -275,44 +274,6 @@ func (t *IndexedTable) appendToPartition(p int, rows []sqltypes.Row) (logged boo
 		return true, nil
 	}
 	return false, nil
-}
-
-// Delete removes the index entry for key, making its rows unreachable
-// through the index (they remain in the row batches until compaction; the
-// paper's system is append-only, deletion is our extension). It returns
-// whether the key was present.
-func (t *IndexedTable) Delete(key sqltypes.Value) bool {
-	key = NormalizeKey(key)
-	p := t.parts[t.PartitionFor(key)]
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	capture := t.capture.enabled.Load()
-	var removedRows []sqltypes.Row
-	if capture {
-		// Views subtract the removed rows from their accumulators, so the
-		// change record carries the key's whole chain at removal time.
-		rows, err := t.collectChainLocked(p, key)
-		if err != nil {
-			// Undecodable chain: a per-row record would be wrong, so break
-			// the log instead — consumers fall back to full recompute.
-			t.invalidateLogLocked(p)
-			capture = false
-		}
-		removedRows = rows
-	}
-	_, removed := p.index.Remove(key)
-	if removed {
-		p.keys.Add(-1)
-		p.deletes++
-		if capture {
-			t.logDeleteLocked(p, key, removedRows)
-		} else {
-			t.version.Add(1)
-		}
-		// Deletes cannot be subtracted from min/max or the NDV sketch.
-		t.statsInvalidate()
-	}
-	return removed
 }
 
 // DistinctKeys returns the number of distinct keys across partitions.

@@ -226,9 +226,6 @@ func TestMemoryAccounting(t *testing.T) {
 	if s.DataBytes() != recordHeader+1 {
 		t.Fatalf("DataBytes = %d", s.DataBytes())
 	}
-	if s.BatchSize() != 1024 {
-		t.Fatalf("BatchSize = %d", s.BatchSize())
-	}
 }
 
 func TestConcurrentReadersDuringAppends(t *testing.T) {

@@ -51,9 +51,6 @@ func NewSet(batchSize int) *Set {
 	return s
 }
 
-// BatchSize returns the configured batch size in bytes.
-func (s *Set) BatchSize() int { return s.batchSize }
-
 // NumRows returns the number of rows ever appended.
 func (s *Set) NumRows() int64 { return s.rows.Load() }
 

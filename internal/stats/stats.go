@@ -3,10 +3,11 @@
 // collected incrementally as rows are appended and exposed to the
 // planner through plan.Stats. Distinct counts use a HyperLogLog sketch
 // over sqltypes.Value.Hash64, so maintenance is O(1) per value with a
-// fixed 1 KiB footprint per column. Statistics are additive-only:
-// deletes cannot be subtracted from min/max or the sketch, so a delete
-// invalidates the table's statistics until the next ANALYZE TABLE
-// rebuild (the planner falls back to structural defaults meanwhile).
+// fixed 1 KiB footprint per column. Statistics are additive-only: an
+// append that fails part-way leaves rows visible that were never
+// observed, so it invalidates the table's statistics until the next
+// ANALYZE TABLE rebuild (the planner falls back to structural defaults
+// meanwhile).
 package stats
 
 import (
@@ -203,8 +204,8 @@ func (t *Table) Observe(rows []sqltypes.Row) {
 }
 
 // Invalidate marks the statistics stale; Snapshot returns nil until
-// the next Rebuild. Used when rows are deleted (min/max and the NDV
-// sketch cannot be decremented).
+// the next Rebuild. Used when an append fails part-way: the rows that
+// landed cannot be observed after the fact.
 func (t *Table) Invalidate() {
 	if t == nil {
 		return
@@ -264,7 +265,7 @@ func (t *Table) Version() int64 {
 }
 
 // Snapshot returns per-column statistics, or nil when the accumulator
-// is stale (a delete occurred since the last Rebuild) or t is nil. The
+// is stale (invalidated since the last Rebuild) or t is nil. The
 // result is built once per version and shared: callers must not modify
 // the slice or its entries.
 func (t *Table) Snapshot() []*ColumnStats {
@@ -303,7 +304,7 @@ func (t *Table) Snapshot() []*ColumnStats {
 
 // Provider is implemented by catalog tables that maintain statistics.
 // A nil return means no statistics are available (collection disabled
-// or invalidated by deletes).
+// or invalidated by a partially failed append).
 type Provider interface {
 	ColumnStats() []*ColumnStats
 }

@@ -7,13 +7,14 @@
 // mutating table).
 //
 // Consistency contract: a refresh pins one base snapshot and advances the
-// view to exactly that snapshot's per-partition change marks — folding the
-// logged delta for SUM/COUNT/AVG, and recomputing any group whose MIN/MAX
-// was invalidated by a delete from that same snapshot. Because the change
-// log and the snapshot content are pinned under the same partition locks
-// (see internal/core), a refresh can never double-count an in-flight
-// append. When the log has a gap (compaction, pruning beyond the cursor),
-// the view falls back to a full recompute from the snapshot.
+// view to exactly that snapshot's per-partition change marks by folding
+// the logged appends. The base table only grows, so every aggregate's
+// delta is a fold of the appended rows: nothing is ever retracted, and a
+// group, once created, stays. Because the change log and the snapshot
+// content are pinned under the same partition locks (see internal/core), a
+// refresh can never double-count an in-flight append. When the log has a
+// gap (a failed append, pruning beyond the cursor), the view falls back to
+// a full recompute from the snapshot.
 package view
 
 import (
@@ -35,8 +36,7 @@ type View struct {
 
 	mu      sync.Mutex
 	state   map[string]*group
-	order   []*group // insertion order; removed groups are nilled out
-	dead    int      // nil slots in order (compacted when dominant)
+	order   []*group // insertion order
 	cursors []int64  // per-partition change-log sequence folded up to
 	version int64    // base-table version the state reflects
 	stats   Stats
@@ -58,16 +58,12 @@ type Stats struct {
 	FullRecomputes int64
 	// DeltaRows is the number of logged rows folded incrementally.
 	DeltaRows int64
-	// GroupRecomputes counts dirty-group rebuilds (MIN/MAX deletes).
-	GroupRecomputes int64
 }
 
 // group is one GROUP BY key's accumulator state.
 type group struct {
 	keys sqltypes.Row // evaluated group expressions
 	accs []acc
-	rows int64 // rows passing the filter currently in the group
-	pos  int   // index into order
 }
 
 // acc is one aggregate's accumulator (same layout as the execution
@@ -214,7 +210,7 @@ func (v *View) refreshLocked() error {
 		}
 		changes, ok := base.ChangesBetween(p, v.cursors[p], mark)
 		if !ok {
-			// Gap: compaction or pruning overtook our cursor.
+			// Gap: a failed append or pruning overtook our cursor.
 			return v.recomputeLocked(snap)
 		}
 		perPart[p] = changes
@@ -231,19 +227,12 @@ func (v *View) refreshLocked() error {
 		v.needRecompute = true
 		return fmt.Errorf("view %q refresh: %w", v.def.Name, err)
 	}
-	dirty := map[string]bool{}
 	for p := 0; p < n; p++ {
 		for _, ch := range perPart[p] {
-			if err := v.foldLocked(ch, dirty); err != nil {
+			if err := v.foldLocked(ch); err != nil {
 				v.needRecompute = true
 				return err
 			}
-		}
-	}
-	if len(dirty) > 0 {
-		if err := v.recomputeGroupsLocked(snap, dirty); err != nil {
-			v.needRecompute = true
-			return err
 		}
 	}
 	for p := 0; p < n; p++ {
@@ -254,52 +243,41 @@ func (v *View) refreshLocked() error {
 	return nil
 }
 
-// foldLocked applies one change record to the accumulator state.
-func (v *View) foldLocked(ch core.Change, dirty map[string]bool) error {
-	sub := ch.Kind == core.ChangeDelete
+// foldLocked folds one change record's appended rows into the
+// accumulator state.
+func (v *View) foldLocked(ch core.Change) error {
 	for _, row := range ch.Rows {
-		keep, err := v.passesFilter(row)
+		folded, err := v.foldRow(row)
 		if err != nil {
 			return err
 		}
-		if !keep {
-			continue
+		if folded {
+			v.stats.DeltaRows++
 		}
-		key, keys, err := v.groupKey(row)
-		if err != nil {
-			return err
-		}
-		g := v.state[key]
-		if g == nil {
-			if sub {
-				// Deleting from an unseen group: only possible if the
-				// group was removed earlier in this batch and the log is
-				// self-consistent; recompute to be safe.
-				dirty[key] = true
-				continue
-			}
-			g = v.addGroup(key, keys)
-		}
-		if sub {
-			g.rows--
-			if err := v.subRow(g, row, key, dirty); err != nil {
-				return err
-			}
-			if g.rows <= 0 && len(v.def.Groups) > 0 && !dirty[key] {
-				v.removeGroup(key, g)
-			}
-		} else {
-			g.rows++
-			if err := v.addRow(g, row); err != nil {
-				return err
-			}
-		}
-		v.stats.DeltaRows++
 	}
 	return nil
 }
 
-// addRow folds a row into the group's accumulators (append).
+// foldRow folds one base row into its group, creating the group on first
+// sight, when the row passes the view's filter; folded reports whether it
+// did.
+func (v *View) foldRow(row sqltypes.Row) (folded bool, err error) {
+	keep, err := v.passesFilter(row)
+	if err != nil || !keep {
+		return false, err
+	}
+	key, keys, err := v.groupKey(row)
+	if err != nil {
+		return false, err
+	}
+	g := v.state[key]
+	if g == nil {
+		g = v.addGroup(key, keys)
+	}
+	return true, v.addRow(g, row)
+}
+
+// addRow folds a row into the group's accumulators.
 func (v *View) addRow(g *group, row sqltypes.Row) error {
 	for i, a := range v.def.Aggs {
 		ac := &g.accs[i]
@@ -340,87 +318,6 @@ func (v *View) addRow(g *group, row sqltypes.Row) error {
 	return nil
 }
 
-// subRow retracts a deleted row. SUM/COUNT/AVG invert arithmetically;
-// MIN/MAX cannot (the runner-up is unknown), so a delete that ties the
-// current extreme marks the group dirty for recompute from the snapshot.
-func (v *View) subRow(g *group, row sqltypes.Row, key string, dirty map[string]bool) error {
-	for i, a := range v.def.Aggs {
-		ac := &g.accs[i]
-		if a.Func == expr.CountStarAgg {
-			ac.count--
-			continue
-		}
-		val, err := a.Arg.Eval(row)
-		if err != nil {
-			return err
-		}
-		if val.IsNull() {
-			continue
-		}
-		switch a.Func {
-		case expr.CountAgg:
-			ac.count--
-		case expr.SumAgg:
-			ac.count--
-			if a.ResultType() == sqltypes.Float64 {
-				ac.sumF -= val.Float64Val()
-			} else {
-				ac.sumI -= val.Int64Val()
-			}
-		case expr.AvgAgg:
-			ac.count--
-			ac.sumF -= val.Float64Val()
-		case expr.MinAgg:
-			if ac.min.IsNull() || sqltypes.Compare(val, ac.min) <= 0 {
-				dirty[key] = true
-			}
-		case expr.MaxAgg:
-			if ac.max.IsNull() || sqltypes.Compare(val, ac.max) >= 0 {
-				dirty[key] = true
-			}
-		}
-	}
-	return nil
-}
-
-// recomputeGroupsLocked rebuilds the dirty groups' full accumulator state
-// from snap (one scan, accumulating only rows whose group key is dirty).
-func (v *View) recomputeGroupsLocked(snap *core.Snapshot, dirty map[string]bool) error {
-	fresh := map[string]*group{}
-	err := v.scanFold(snap, func(key string, keys sqltypes.Row, row sqltypes.Row) (bool, error) {
-		if !dirty[key] {
-			return false, nil
-		}
-		g := fresh[key]
-		if g == nil {
-			g = &group{keys: keys.Clone(), accs: make([]acc, len(v.def.Aggs))}
-			fresh[key] = g
-		}
-		g.rows++
-		return true, v.addRow(g, row)
-	})
-	if err != nil {
-		return err
-	}
-	for key := range dirty {
-		old := v.state[key]
-		g := fresh[key]
-		switch {
-		case g == nil && old != nil:
-			v.removeGroup(key, old)
-		case g != nil && old != nil:
-			old.accs = g.accs
-			old.rows = g.rows
-		case g != nil && old == nil:
-			ng := v.addGroup(key, g.keys)
-			ng.accs = g.accs
-			ng.rows = g.rows
-		}
-		v.stats.GroupRecomputes++
-	}
-	return nil
-}
-
 // recomputeLocked rebuilds the whole state from snap and re-anchors the
 // cursors at snap's change marks.
 func (v *View) recomputeLocked(snap *core.Snapshot) error {
@@ -429,16 +326,18 @@ func (v *View) recomputeLocked(snap *core.Snapshot) error {
 	v.needRecompute = true
 	v.state = map[string]*group{}
 	v.order = v.order[:0]
-	err := v.scanFold(snap, func(key string, keys sqltypes.Row, row sqltypes.Row) (bool, error) {
-		g := v.state[key]
-		if g == nil {
-			g = v.addGroup(key, keys)
+	for p := 0; p < snap.NumPartitions(); p++ {
+		var foldErr error
+		err := snap.ScanPartition(p, func(row sqltypes.Row) bool {
+			_, foldErr = v.foldRow(row)
+			return foldErr == nil
+		})
+		if err == nil {
+			err = foldErr
 		}
-		g.rows++
-		return true, v.addRow(g, row)
-	})
-	if err != nil {
-		return err
+		if err != nil {
+			return err
+		}
 	}
 	n := v.def.Base.NumPartitions()
 	if len(v.cursors) != n {
@@ -455,42 +354,6 @@ func (v *View) recomputeLocked(snap *core.Snapshot) error {
 	v.stats.FullRecomputes++
 	v.stats.Refreshes++
 	v.needRecompute = false
-	return nil
-}
-
-// scanFold streams every filtered base row with its group key to fn. fn's
-// first result reports whether the row was consumed (the key scratch row
-// must then not be reused for that group's keys — callers clone).
-func (v *View) scanFold(snap *core.Snapshot, fn func(key string, keys sqltypes.Row, row sqltypes.Row) (bool, error)) error {
-	for p := 0; p < snap.NumPartitions(); p++ {
-		var innerErr error
-		err := snap.ScanPartition(p, func(row sqltypes.Row) bool {
-			keep, err := v.passesFilter(row)
-			if err != nil {
-				innerErr = err
-				return false
-			}
-			if !keep {
-				return true
-			}
-			key, keys, err := v.groupKey(row)
-			if err != nil {
-				innerErr = err
-				return false
-			}
-			if _, err := fn(key, keys, row); err != nil {
-				innerErr = err
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			return err
-		}
-		if innerErr != nil {
-			return innerErr
-		}
-	}
 	return nil
 }
 
@@ -520,37 +383,13 @@ func (v *View) groupKey(row sqltypes.Row) (string, sqltypes.Row, error) {
 }
 
 func (v *View) addGroup(key string, keys sqltypes.Row) *group {
-	g := &group{keys: keys, accs: make([]acc, len(v.def.Aggs)), pos: len(v.order)}
+	g := &group{keys: keys, accs: make([]acc, len(v.def.Aggs))}
 	if v.state == nil {
 		v.state = map[string]*group{}
 	}
 	v.state[key] = g
 	v.order = append(v.order, g)
 	return g
-}
-
-func (v *View) removeGroup(key string, g *group) {
-	delete(v.state, key)
-	if g.pos >= 0 && g.pos < len(v.order) && v.order[g.pos] == g {
-		v.order[g.pos] = nil
-		v.dead++
-	}
-	// Reclaim dead slots when they dominate, so group churn (keys created
-	// and deleted over and over) cannot grow order without bound.
-	if v.dead > 64 && v.dead > len(v.order)/2 {
-		live := v.order[:0]
-		for _, og := range v.order {
-			if og != nil {
-				og.pos = len(live)
-				live = append(live, og)
-			}
-		}
-		for i := len(live); i < len(v.order); i++ {
-			v.order[i] = nil // release trailing references
-		}
-		v.order = live
-		v.dead = 0
-	}
 }
 
 // prune lets the registry drop change records every view has folded. Must
@@ -596,8 +435,6 @@ func (v *View) rowsLocked() []sqltypes.Row {
 	nAggs := len(v.def.Aggs)
 	if len(v.def.Groups) == 0 {
 		// Global aggregate: exactly one row, even over an empty table.
-		// Looked up by the canonical empty key — the group's order slot
-		// moves when it is removed and re-created.
 		g := v.state[""]
 		if g == nil {
 			g = &group{accs: make([]acc, nAggs)}
@@ -606,9 +443,6 @@ func (v *View) rowsLocked() []sqltypes.Row {
 	}
 	out := make([]sqltypes.Row, 0, len(v.state))
 	for _, g := range v.order {
-		if g == nil || g.rows <= 0 {
-			continue
-		}
 		out = append(out, v.emit(g))
 	}
 	return out

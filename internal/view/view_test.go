@@ -177,78 +177,40 @@ func TestViewInitialBuildAndDeltaAppend(t *testing.T) {
 	}
 }
 
-func TestViewDeleteArithmeticAggs(t *testing.T) {
-	base := newBase(t)
-	for i := int64(0); i < 20; i++ {
-		if err := base.Append([]sqltypes.Row{row(i, i%3, i64(i))}); err != nil {
+func TestViewOverwriteStreamMatchesRecompute(t *testing.T) {
+	// Load 10k distinct keys, then overwrite one key 1,000 times with
+	// values that keep moving its group's MIN and MAX. Every version stays
+	// visible, so the delta fold must equal a recompute at every step.
+	base, err := core.NewIndexedTable(testSchema(), 0, core.Options{NumPartitions: 4, BatchSize: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := New(testDef(base, nil), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keys, overwrites, hot = 10000, 1000, int64(42)
+	for step := int64(0); step < keys+overwrites; step++ {
+		r := row(step, step%5, i64(step))
+		if step >= keys {
+			n := step - keys
+			val := n * 7
+			if n%2 == 1 {
+				val = -val // alternately a new MIN and a new MAX
+			}
+			r = row(hot, n%3, i64(val))
+		}
+		if err := base.Append([]sqltypes.Row{r}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	v, err := New(testDef(base, nil), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int64{3, 7, 11} {
-		if !base.Delete(i64(k)) {
-			t.Fatalf("delete %d missed", k)
+		if step%100 == 99 {
+			checkAgainstOracle(t, v, base, nil)
 		}
 	}
-	checkAgainstOracle(t, v, base, nil)
+	if st := v.Stats(); st.FullRecomputes != 1 || st.DeltaRows != keys+overwrites {
+		t.Fatalf("stats = %+v, want one build and every row folded as a delta", st)
+	}
 }
-
-func TestViewMinMaxDeleteRecomputesGroup(t *testing.T) {
-	base := newBase(t)
-	// Group 0 holds vals 0, 10, 20, 30; key == val/10.
-	for i := int64(0); i < 4; i++ {
-		if err := base.Append([]sqltypes.Row{row(i, 0, i64(i*10))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	v, err := New(testDef(base, nil), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Delete the current max: MIN/MAX must fall back to group recompute.
-	if !base.Delete(i64(3)) {
-		t.Fatal("delete missed")
-	}
-	checkAgainstOracle(t, v, base, nil)
-	if v.Stats().GroupRecomputes == 0 {
-		t.Fatal("expected a dirty-group recompute for the deleted max")
-	}
-	if v.Stats().FullRecomputes != 1 {
-		t.Fatalf("full recomputes = %d, want only the initial build", v.Stats().FullRecomputes)
-	}
-	// Delete a middle value: arithmetic aggs adjust, extremes recompute.
-	if !base.Delete(i64(1)) {
-		t.Fatal("delete missed")
-	}
-	checkAgainstOracle(t, v, base, nil)
-}
-
-func TestViewGroupDisappearsAndReturns(t *testing.T) {
-	base := newBase(t)
-	if err := base.Append([]sqltypes.Row{row(1, 42, i64(5))}); err != nil {
-		t.Fatal(err)
-	}
-	v, err := New(testDef(base, nil), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base.Delete(i64(1))
-	rows, err := v.RefreshRows()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 0 {
-		t.Fatalf("group should disappear, got %d rows", len(rows))
-	}
-	if err := base.Append([]sqltypes.Row{row(2, 42, i64(9))}); err != nil {
-		t.Fatal(err)
-	}
-	checkAgainstOracle(t, v, base, nil)
-}
-
 func TestViewNullHandling(t *testing.T) {
 	base := newBase(t)
 	if err := base.Append([]sqltypes.Row{
@@ -264,7 +226,10 @@ func TestViewNullHandling(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAgainstOracle(t, v, base, nil)
-	base.Delete(i64(4)) // delete a null contribution
+	// Overwrite a null contribution with a value, then a value with a null.
+	if err := base.Append([]sqltypes.Row{row(4, 1, i64(9)), row(3, 1, sqltypes.Null)}); err != nil {
+		t.Fatal(err)
+	}
 	checkAgainstOracle(t, v, base, nil)
 }
 
@@ -281,9 +246,11 @@ func TestViewWithFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAgainstOracle(t, v, base, filter)
-	// Deletes of filtered-out rows must not disturb state.
-	base.Delete(i64(5))
-	base.Delete(i64(25))
+	// Overwrites filtered out must not disturb state; one that passes
+	// the filter folds in beside its key's older version.
+	if err := base.Append([]sqltypes.Row{row(5, 1, i64(3)), row(25, 1, i64(2)), row(26, 2, i64(40))}); err != nil {
+		t.Fatal(err)
+	}
 	checkAgainstOracle(t, v, base, filter)
 }
 
@@ -318,26 +285,20 @@ func TestViewGlobalAggregate(t *testing.T) {
 }
 
 func TestViewGlobalAggSurvivesEmptyThenRefill(t *testing.T) {
-	// Regression: a MIN/MAX delete over a global-aggregate view emptied
-	// the table (dirty recompute removed the single group); re-appends
-	// must revive it — the emitted row follows the state, not a stale
-	// order slot.
+	// A global-aggregate view refreshed over an empty table emits one row;
+	// once rows arrive, the emitted row follows the state, MIN/MAX included.
 	base := newBase(t)
 	def := testDef(base, nil)
 	def.Groups = nil
-	if err := base.Append([]sqltypes.Row{row(1, 0, i64(5))}); err != nil {
-		t.Fatal(err)
-	}
 	v, err := New(def, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base.Delete(i64(1)) // MIN/MAX dirty; recompute over empty snapshot
 	rows, err := v.RefreshRows()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || rows[0][0].Int64Val() != 0 {
+	if len(rows) != 1 || rows[0][0].Int64Val() != 0 || !rows[0][2].IsNull() {
 		t.Fatalf("empty global agg = %v", rows)
 	}
 	if err := base.Append([]sqltypes.Row{row(2, 0, i64(9))}); err != nil {
@@ -347,25 +308,21 @@ func TestViewGlobalAggSurvivesEmptyThenRefill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || rows[0][0].Int64Val() != 1 || rows[0][2].Int64Val() != 9 {
+	if len(rows) != 1 || rows[0][0].Int64Val() != 1 || rows[0][2].Int64Val() != 9 || rows[0][3].Int64Val() != 9 {
 		t.Fatalf("refilled global agg = %v (count, min stale?)", rows)
 	}
 }
-
 func TestViewGroupChurnBoundsOrder(t *testing.T) {
-	// Regression: groups created and deleted over and over must not grow
-	// the internal emission order without bound.
+	// Keys overwritten over and over move their newest version between
+	// groups; the emission order keeps exactly one slot per group.
 	base := newBase(t)
 	v, err := New(testDef(base, nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 2000; i++ {
-		if err := base.Append([]sqltypes.Row{row(i, i, i64(i))}); err != nil {
+		if err := base.Append([]sqltypes.Row{row(i%10, i%7, i64(i))}); err != nil {
 			t.Fatal(err)
-		}
-		if i%2 == 0 {
-			base.Delete(i64(i)) // kill the group again
 		}
 		if i%100 == 99 {
 			if _, err := v.RefreshRows(); err != nil {
@@ -377,15 +334,14 @@ func TestViewGroupChurnBoundsOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	v.mu.Lock()
-	orderLen, liveGroups := len(v.order), len(v.state)
+	orderLen, groups := len(v.order), len(v.state)
 	v.mu.Unlock()
-	if orderLen > 2*liveGroups+128 {
-		t.Fatalf("order grew to %d slots for %d live groups", orderLen, liveGroups)
+	if orderLen != groups || groups != 7 {
+		t.Fatalf("order holds %d slots for %d groups, want 7 each", orderLen, groups)
 	}
 	checkAgainstOracle(t, v, base, nil)
 }
-
-func TestViewCompactForcesRecompute(t *testing.T) {
+func TestViewLogGapForcesRecompute(t *testing.T) {
 	base := newBase(t)
 	for i := int64(0); i < 10; i++ {
 		if err := base.Append([]sqltypes.Row{row(i%3, i%3, i64(i))}); err != nil {
@@ -396,12 +352,15 @@ func TestViewCompactForcesRecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := base.Compact(true); err != nil { // keep newest row per key
-		t.Fatal(err)
+	// Both rows route to key 1's partition; the second fails to encode
+	// after the first landed, which breaks that partition's change log.
+	bad := sqltypes.Row{i64(1), i64(1), sqltypes.NewString("boom")}
+	if err := base.Append([]sqltypes.Row{row(1, 1, i64(50)), bad}); err == nil {
+		t.Fatal("expected encode failure")
 	}
 	checkAgainstOracle(t, v, base, nil)
 	if v.Stats().FullRecomputes < 2 {
-		t.Fatalf("full recomputes = %d, compact must force a rebuild", v.Stats().FullRecomputes)
+		t.Fatalf("full recomputes = %d, a log gap must force a rebuild", v.Stats().FullRecomputes)
 	}
 	// And delta maintenance works again after the re-anchor.
 	if err := base.Append([]sqltypes.Row{row(99, 9, i64(99))}); err != nil {
@@ -410,10 +369,9 @@ func TestViewCompactForcesRecompute(t *testing.T) {
 	before := v.Stats().FullRecomputes
 	checkAgainstOracle(t, v, base, nil)
 	if v.Stats().FullRecomputes != before {
-		t.Fatal("post-compact append should fold incrementally")
+		t.Fatal("append after the gap should fold incrementally")
 	}
 }
-
 func TestViewMatchesCanonical(t *testing.T) {
 	base := newBase(t)
 	v, err := New(testDef(base, nil), nil)

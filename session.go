@@ -228,9 +228,10 @@ func (s *Session) CreateIndexedTable(name string, schema *sqltypes.Schema, keyCo
 // AnalyzeTable recomputes a table's statistics from a full scan,
 // enabling collection for that table even when the NoStats ablation
 // turned automatic collection off (the planner still ignores the
-// result under that ablation). It heals the invalidation a Delete
-// causes: incremental statistics cannot un-observe rows, so deleting
-// invalidates them until the next ANALYZE.
+// result under that ablation). It heals the invalidation a partially
+// failed append causes: the rows that landed before the failure were
+// never observed, so incremental statistics stay invalid until the next
+// ANALYZE.
 func (s *Session) AnalyzeTable(name string) error {
 	s.mu.RLock()
 	t, ok := s.tables[name]

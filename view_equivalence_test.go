@@ -78,7 +78,18 @@ func rowsEquivalent(a, b []Row) bool {
 	return true
 }
 
-// TestViewRandomizedEquivalence drives randomized append/delete workloads
+// otherPartitionKey returns the first of from, from+step, from+2*step, ...
+// that routes to another partition than key, so an append holding both
+// crosses partitions.
+func otherPartitionKey(df *DataFrame, key, from, step int64) int64 {
+	tc := df.IndexedCore()
+	for tc.PartitionFor(V(from)) == tc.PartitionFor(V(key)) {
+		from += step
+	}
+	return from
+}
+
+// TestViewRandomizedEquivalence drives randomized append/overwrite workloads
 // and asserts, at every checkpoint, that the view-answered aggregate is
 // value-identical to recomputing the same query on the live snapshot.
 func TestViewRandomizedEquivalence(t *testing.T) {
@@ -128,10 +139,18 @@ func TestViewRandomizedEquivalence(t *testing.T) {
 						}
 						break
 					}
-				case 4: // delete a random live key
+				case 4: // one append crossing partitions that overwrites a live key
 					for id := range live {
-						df.IndexedCore().Delete(V(id))
-						delete(live, id)
+						fresh := otherPartitionKey(df, id, nextID, 1)
+						nextID = fresh + 1
+						live[fresh] = true
+						rows := []Row{
+							R(fresh, regions[rng.Intn(len(regions))], int64(rng.Intn(200))),
+							R(id, regions[rng.Intn(len(regions))], nil),
+						}
+						if _, err := df.AppendRowsSlice(rows); err != nil {
+							t.Fatal(err)
+						}
 						break
 					}
 				}
@@ -163,7 +182,7 @@ func TestViewRandomizedEquivalence(t *testing.T) {
 }
 
 // TestViewConcurrentAppendersAndRefresh hammers a view with concurrent
-// appenders, deleters and view-answered readers (run under -race), then
+// appenders, overwriters and view-answered readers (run under -race), then
 // asserts the quiescent state equals a from-scratch recomputation.
 func TestViewConcurrentAppendersAndRefresh(t *testing.T) {
 	const q = "SELECT region, COUNT(*) AS cnt, SUM(amount) AS total FROM sales GROUP BY region"
@@ -190,7 +209,15 @@ func TestViewConcurrentAppendersAndRefresh(t *testing.T) {
 					return
 				}
 				if i%17 == 0 {
-					df.IndexedCore().Delete(V(id))
+					// One append crossing partitions that overwrites id.
+					rows := []Row{
+						R(otherPartitionKey(df, id, id+10000, 10000), regions[i%3], int64(i)),
+						R(id, regions[(i+1)%3], int64(-i)),
+					}
+					if _, err := df.AppendRowsSlice(rows); err != nil {
+						errs <- err
+						return
+					}
 				}
 			}
 		}(w)

@@ -10,6 +10,7 @@ import (
 	"indexeddf/internal/opt"
 	"indexeddf/internal/stream"
 	"indexeddf/internal/testutil"
+	"indexeddf/internal/view"
 )
 
 func salesSchema() *Schema {
@@ -86,14 +87,13 @@ func TestCreateMaterializedViewSQLAndRewrite(t *testing.T) {
 		t.Fatalf("view-answered plan still aggregates:\n%s", explain)
 	}
 
-	// ...with identical results, also after further appends and deletes.
+	// ...with identical results, also after further appends and overwrites.
 	if got := collectSorted(t, s, salesAggSQL); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("view-answered = %v\nwant %v", got, want)
 	}
-	if _, err := df.AppendRowsSlice([]Row{R(int64(1000), "emea", int64(7)), R(int64(1001), "apac", nil)}); err != nil {
+	if _, err := df.AppendRowsSlice([]Row{R(int64(1000), "emea", int64(7)), R(int64(1001), "apac", nil), R(int64(4), "anz", int64(-3))}); err != nil {
 		t.Fatal(err)
 	}
-	df.IndexedCore().Delete(V(int64(4)))
 	v, ok := s.MaterializedView("sales_by_region")
 	if !ok {
 		t.Fatal("view not registered")
@@ -101,7 +101,7 @@ func TestCreateMaterializedViewSQLAndRewrite(t *testing.T) {
 	got := collectSorted(t, s, salesAggSQL)
 	want = freshAggregate(t, s)
 	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("after append+delete: view %v\nwant %v", got, want)
+		t.Fatalf("after append+overwrite: view %v\nwant %v", got, want)
 	}
 	if v.RefreshedVersion() == 0 {
 		t.Fatal("view never advertised a refreshed version")
@@ -241,9 +241,10 @@ func TestCreateViewRejectsUnsupportedQueries(t *testing.T) {
 	}
 }
 
-func TestViewCompactRegression(t *testing.T) {
-	// Compaction must not break a view's delta cursor: the view detects
-	// the change-log gap and fully recomputes, staying value-identical.
+func TestViewOverwriteRegression(t *testing.T) {
+	// Overwritten keys keep every version visible: the delta-maintained
+	// view must fold each new version beside the old ones and stay
+	// value-identical to a from-scratch aggregate.
 	s, df := newViewSession(t, 60, 0)
 	if _, err := s.SQL("CREATE MATERIALIZED VIEW v AS " + salesAggSQL); err != nil {
 		t.Fatal(err)
@@ -251,41 +252,29 @@ func TestViewCompactRegression(t *testing.T) {
 	if _, err := s.MustSQL(salesAggSQL).Collect(); err != nil {
 		t.Fatal(err)
 	}
-	core := df.IndexedCore()
-	// Overwrite chains and delete keys, then compact both ways.
+	regions := []string{"emea", "amer", "apac", "anz"}
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 30; i++ {
-		k := int64(rng.Intn(60))
-		if rng.Intn(3) == 0 {
-			core.Delete(V(k))
-		} else if _, err := df.AppendRowsSlice([]Row{R(k, "emea", k)}); err != nil {
+		var rows []Row
+		for j := 0; j < 1+rng.Intn(3); j++ {
+			k := int64(rng.Intn(60))
+			rows = append(rows, R(k, regions[rng.Intn(len(regions))], k))
+		}
+		if _, err := df.AppendRowsSlice(rows); err != nil {
 			t.Fatal(err)
 		}
+		if i%10 != 9 {
+			continue
+		}
+		got := collectSorted(t, s, salesAggSQL)
+		want := freshAggregate(t, s)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("after %d overwrites: view %v\nwant %v", i+1, got, want)
+		}
 	}
-	if _, err := core.Compact(false); err != nil {
-		t.Fatal(err)
-	}
-	got := collectSorted(t, s, salesAggSQL)
-	want := freshAggregate(t, s)
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("after Compact(false): view %v\nwant %v", got, want)
-	}
-	if _, err := core.Compact(true); err != nil { // drops old chain versions
-		t.Fatal(err)
-	}
-	got = collectSorted(t, s, salesAggSQL)
-	want = freshAggregate(t, s)
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("after Compact(true): view %v\nwant %v", got, want)
-	}
-	// And the delta path resumes afterwards.
-	if _, err := df.AppendRowsSlice([]Row{R(int64(7000), "anz", int64(1))}); err != nil {
-		t.Fatal(err)
-	}
-	got = collectSorted(t, s, salesAggSQL)
-	want = freshAggregate(t, s)
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("post-compact delta: view %v\nwant %v", got, want)
+	v, _ := s.MaterializedView("v")
+	if v.(*view.View).Stats().FullRecomputes != 1 {
+		t.Fatal("overwrites must fold as deltas, not force a recompute")
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // DataFrame table whose per-group state is delta-maintained from the
 // table's change log. The planner answers matching aggregations straight
 // from the view (see internal/opt's view rewrite); refresh folds only the
-// rows appended or deleted since the view's last refresh.
+// rows appended since the view's last refresh.
 
 // CreateMaterializedView registers an incrementally maintained view named
 // name defined by selectSQL (SELECT <group cols, aggregates> FROM
