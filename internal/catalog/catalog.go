@@ -236,7 +236,7 @@ func (t *IndexedTable) Core() *core.IndexedTable { return t.core }
 func (t *IndexedTable) KeyColumn() int { return t.core.KeyColumn() }
 
 // EnableStats starts incremental statistics collection by installing
-// append and invalidate hooks on the core table, seeding the accumulator from
+// an append hook on the core table, seeding the accumulator from
 // the current contents (usually empty — sessions enable stats at
 // CREATE time, before the first append).
 func (t *IndexedTable) EnableStats() {
@@ -254,18 +254,14 @@ func (t *IndexedTable) ensureStats() (st *stats.Table, created bool) {
 	defer t.statsMu.Unlock()
 	if t.stats == nil {
 		t.stats = stats.NewTable(t.core.Schema().Len())
-		t.core.SetStatsHooks(&core.StatsHooks{
-			OnAppend:     t.stats.Observe,
-			OnInvalidate: t.stats.Invalidate,
-		})
+		t.core.SetStatsHooks(&core.StatsHooks{OnAppend: t.stats.Observe})
 		created = true
 	}
 	return t.stats, created
 }
 
 // ColumnStats implements stats.Provider; nil when collection is off or
-// the accumulator was invalidated by an append that failed part-way (the
-// rows that landed before the failure are visible but were never observed).
+// the last rebuild's scan failed.
 func (t *IndexedTable) ColumnStats() []*stats.ColumnStats {
 	t.statsMu.Lock()
 	st := t.stats

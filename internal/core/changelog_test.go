@@ -166,21 +166,36 @@ func TestDisableChangeCaptureClearsLog(t *testing.T) {
 	}
 }
 
-func TestPartialAppendFailureInvalidatesLog(t *testing.T) {
+// TestFailedAppendPublishesNothing: a batch whose second row fails to
+// encode (wrong type for column 1) lands none of its rows — not in the
+// content, the version or the change log, which stays readable.
+func TestFailedAppendPublishesNothing(t *testing.T) {
 	tbl := newLogTable(t, 1)
 	tbl.EnableChangeCapture()
 	if err := tbl.Append([]sqltypes.Row{logRow(1, 1)}); err != nil {
 		t.Fatal(err)
 	}
+	before := tbl.Snapshot()
 	cursor := tbl.ChangeMark(0)
-	// Batch whose second row fails to encode (wrong type for column 1):
-	// the first row lands physically but the batch cannot be logged.
 	bad := sqltypes.Row{sqltypes.NewInt64(2), sqltypes.NewString("boom")}
-	err := tbl.AppendToPartition(0, []sqltypes.Row{logRow(3, 3), bad})
-	if err == nil {
+	if err := tbl.Append([]sqltypes.Row{logRow(3, 3), bad}); err == nil {
 		t.Fatal("expected encode failure")
 	}
-	if _, ok := tbl.ChangesBetween(0, cursor, tbl.ChangeMark(0)); ok {
-		t.Fatal("partially applied batch must break the log, not vanish from it")
+	after := tbl.Snapshot()
+	if after != before || tbl.RowCount() != 1 || tbl.Version() != before.Version() {
+		t.Fatalf("failed batch published: version %d -> %d, %d rows", before.Version(), tbl.Version(), tbl.RowCount())
+	}
+	if rows, err := after.GetRows(sqltypes.NewInt64(3)); err != nil || len(rows) != 0 {
+		t.Fatalf("the failed batch's good row is visible: %v, %v", rows, err)
+	}
+	if ch, ok := tbl.ChangesBetween(0, cursor, tbl.ChangeMark(0)); !ok || len(ch) != 0 {
+		t.Fatalf("log after a failed batch: ok=%v %d records, want an empty delta", ok, len(ch))
+	}
+	// The next batch publishes only its own rows.
+	if err := tbl.Append([]sqltypes.Row{logRow(4, 4)}); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := tbl.Snapshot().PartitionRowCount(0); n != 2 {
+		t.Fatalf("after a good batch the partition holds %d rows, want 2", n)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -106,9 +107,8 @@ func TestSnapshotIsolationFromAppends(t *testing.T) {
 	if rows, _ := snap.GetRows(sqltypes.NewInt64(3)); len(rows) != 0 {
 		t.Fatal("snapshot sees key appended after it")
 	}
-	n, err := snap.RowCount()
-	if err != nil || n != 2 {
-		t.Fatalf("snapshot RowCount = %d, %v", n, err)
+	if n := snap.RowCount(); n != 2 {
+		t.Fatalf("snapshot RowCount = %d", n)
 	}
 	// A fresh snapshot sees everything.
 	snap2 := tbl.Snapshot()
@@ -119,11 +119,8 @@ func TestSnapshotIsolationFromAppends(t *testing.T) {
 	if len(got2) != 2 || got2[0][1].StringVal() != "a2" {
 		t.Fatalf("fresh snapshot GetRows(1) = %v", got2)
 	}
-	if err := snap.Validate(); err != nil {
-		t.Fatalf("snapshot invalid: %v", err)
-	}
-	if err := snap2.Validate(); err != nil {
-		t.Fatalf("snapshot2 invalid: %v", err)
+	if n := snap2.RowCount(); n != 4 {
+		t.Fatalf("fresh snapshot RowCount = %d", n)
 	}
 }
 
@@ -259,26 +256,20 @@ func TestConcurrentAppendersAndSnapshotReaders(t *testing.T) {
 			}
 		}(w)
 	}
-	// Readers take snapshots and validate invariants while writers run.
+	// Readers take snapshots and check invariants while writers run: a
+	// snapshot's scans, chains and row count agree, however often they
+	// are read.
 	for r := 0; r < 2; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
 				snap := tbl.Snapshot()
-				if err := snap.Validate(); err != nil {
-					t.Errorf("snapshot validation: %v", err)
-					return
-				}
-				n1, err := snap.RowCount()
-				if err != nil {
-					t.Errorf("rowcount: %v", err)
-					return
-				}
-				n2, _ := snap.RowCount()
-				if n1 != n2 {
-					t.Errorf("snapshot row count moved: %d -> %d", n1, n2)
-					return
+				for pass := 0; pass < 2; pass++ {
+					if err := checkSnapshot(snap, 50); err != nil {
+						t.Error(err)
+						return
+					}
 				}
 			}
 		}()
@@ -300,6 +291,42 @@ func TestConcurrentAppendersAndSnapshotReaders(t *testing.T) {
 	if total != writers*perWriter {
 		t.Fatalf("sum of chains = %d, want %d", total, writers*perWriter)
 	}
+}
+
+// checkSnapshot cross-checks a snapshot of a table keyed 0..keys-1: the
+// scanned rows, the rows on every key's chain and RowCount all agree, and
+// every chained row carries its chain's key.
+func checkSnapshot(snap *Snapshot, keys int64) error {
+	var scanned int64
+	for p := 0; p < snap.NumPartitions(); p++ {
+		n, err := snap.PartitionRowCount(p)
+		if err != nil {
+			return err
+		}
+		scanned += int64(n)
+	}
+	var chained int64
+	for key := int64(0); key < keys; key++ {
+		var wrong sqltypes.Value
+		err := snap.LookupEach(sqltypes.NewInt64(key), func(row sqltypes.Row) bool {
+			chained++
+			if row[0].Int64Val() != key {
+				wrong = row[0]
+			}
+			return wrong.IsNull()
+		})
+		if err != nil {
+			return err
+		}
+		if !wrong.IsNull() {
+			return fmt.Errorf("chain of key %d holds a row keyed %v", key, wrong)
+		}
+	}
+	if scanned != snap.RowCount() || chained != snap.RowCount() {
+		return fmt.Errorf("snapshot %d: scans see %d rows, chains %d, RowCount %d",
+			snap.Version(), scanned, chained, snap.RowCount())
+	}
+	return nil
 }
 
 // TestQuickAppendLookup property: for any batch of (key, payload) pairs,
@@ -333,7 +360,7 @@ func TestQuickAppendLookup(t *testing.T) {
 				}
 			}
 		}
-		return snap.Validate() == nil
+		return checkSnapshot(snap, 17) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -341,7 +368,7 @@ func TestQuickAppendLookup(t *testing.T) {
 }
 
 // TestScanWalksEveryVersionInAppendOrder pins the single scan path: a scan
-// is the append-order walk over the snapshot's batch watermarks, so it
+// is the append-order walk up to the snapshot's end positions, so it
 // yields every version of every key, overwrites included.
 func TestScanWalksEveryVersionInAppendOrder(t *testing.T) {
 	const (
@@ -439,5 +466,126 @@ func TestScanWalksEveryVersionInAppendOrder(t *testing.T) {
 	}
 	if counted != total/2 {
 		t.Fatalf("halfway snapshot counts %d rows, want %d", counted, total/2)
+	}
+}
+
+// TestSnapshotNeverHoldsPartialBatch: a snapshot publishes whole append
+// batches only. One writer appends 64-row batches spread over 8
+// partitions while a reader takes 200 snapshots; each must hold a
+// multiple of 64 rows, by its scans as well as by its count.
+func TestSnapshotNeverHoldsPartialBatch(t *testing.T) {
+	const (
+		batch     = 64
+		snapshots = 200
+	)
+	tbl := newTable(t, 8)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(done)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for b := int64(0); ; b++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			rows := make([]sqltypes.Row, batch)
+			for i := range rows {
+				rows[i] = mkRow(b*batch+int64(i), "x", 0)
+			}
+			if err := tbl.Append(rows); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for tbl.RowCount() == 0 {
+		runtime.Gosched()
+	}
+	for i := 0; i < snapshots; i++ {
+		snap := tbl.Snapshot()
+		var scanned int64
+		for p := 0; p < snap.NumPartitions(); p++ {
+			n, err := snap.PartitionRowCount(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scanned += int64(n)
+		}
+		if scanned%batch != 0 || scanned != snap.RowCount() {
+			t.Fatalf("snapshot %d holds %d rows (RowCount %d): a partial %d-row batch", i, scanned, snap.RowCount(), batch)
+		}
+	}
+}
+
+// TestLookupAtSnapshotIgnoresLaterInserts: lookups read the live Ctrie but
+// answer as of the snapshot. A key present when the snapshot was taken is
+// found with exactly its rows then, and a key first inserted after it is
+// absent, while another goroutine inserts 100k fresh keys and re-appends
+// the old one.
+func TestLookupAtSnapshotIgnoresLaterInserts(t *testing.T) {
+	const (
+		fresh = 100000
+		batch = 1000
+		old   = int64(-1)
+	)
+	tbl, err := NewIndexedTable(testSchema(), 0, Options{NumPartitions: 4, BatchSize: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Append([]sqltypes.Row{mkRow(old, "at-w", 0)}); err != nil {
+		t.Fatal(err)
+	}
+	snap := tbl.Snapshot()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for lo := int64(0); lo < fresh; lo += batch {
+			rows := make([]sqltypes.Row, 0, batch+1)
+			for k := lo; k < lo+batch; k++ {
+				rows = append(rows, mkRow(k, "after-w", 0))
+			}
+			rows = append(rows, mkRow(old, "after-w", 0))
+			if err := tbl.Append(rows); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	check := func() {
+		t.Helper()
+		got, err := snap.GetRows(sqltypes.NewInt64(old))
+		if err != nil || len(got) != 1 || got[0][1].StringVal() != "at-w" {
+			t.Fatalf("GetRows(old) at w = %v, %v; want the one row present at w", got, err)
+		}
+		p := snap.PartitionFor(sqltypes.NewInt64(old))
+		if _, ok, err := snap.LookupPtr(p, sqltypes.NewInt64(old)); !ok || err != nil {
+			t.Fatalf("LookupPtr(old) at w = %v, %v", ok, err)
+		}
+		for _, k := range []int64{0, fresh / 2, fresh - 1} {
+			if rows, err := snap.GetRows(sqltypes.NewInt64(k)); err != nil || len(rows) != 0 {
+				t.Fatalf("key %d inserted after w is visible at w: %v, %v", k, rows, err)
+			}
+			if _, ok, _ := snap.LookupPtr(snap.PartitionFor(sqltypes.NewInt64(k)), sqltypes.NewInt64(k)); ok {
+				t.Fatalf("LookupPtr finds key %d inserted after w", k)
+			}
+		}
+	}
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		check()
+	}
+	if got := tbl.Snapshot().RowCount(); got != 1+fresh+fresh/batch {
+		t.Fatalf("table holds %d rows, want %d", got, 1+fresh+fresh/batch)
+	}
+	if rows, _ := tbl.Snapshot().GetRows(sqltypes.NewInt64(fresh - 1)); len(rows) != 1 {
+		t.Fatalf("a fresh snapshot finds %d rows for the last key, want 1", len(rows))
 	}
 }

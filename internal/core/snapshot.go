@@ -1,69 +1,46 @@
 package core
 
 import (
-	"fmt"
-
-	"indexeddf/internal/ctrie"
 	"indexeddf/internal/rowbatch"
 	"indexeddf/internal/sqltypes"
 )
 
 // Snapshot is a consistent multi-version read view of an IndexedTable:
-// per partition, a read-only Ctrie snapshot (O(1) to take) plus the row
-// batch watermarks at snapshot time. Appends that happen after the
-// snapshot are invisible: new rows live past the watermarks and are only
-// reachable through index entries the frozen Ctrie does not contain.
+// one published append batch. It holds, per partition, the end position of
+// the published rows (and the change mark when capture was on); readers
+// read the live Ctrie and row batches and ignore every record at or above
+// the end, so appends that happen after the snapshot are invisible.
+// Snapshots are immutable and shared by every reader of the same batch.
 type Snapshot struct {
 	table   *IndexedTable
 	version int64
-	parts   []partSnapshot
+	rows    int64
+	// ends[p] bounds partition p's visible records: exactly those whose
+	// packed pointer orders below it (see rowbatch.Set.End).
+	ends []rowbatch.Ptr
+	// marks[p] is partition p's change-log sequence after the batch, or
+	// nil when capture was off: the visible content in p is exactly the
+	// log prefix below marks[p]. Incremental view refresh folds log
+	// records up to this mark and recomputes from this snapshot without
+	// double-counting in-flight appends.
+	marks []int64
 }
 
-type partSnapshot struct {
-	index   *ctrie.Ctrie[sqltypes.Value, rowbatch.Ptr]
-	marks   []int64
-	batches *rowbatch.Set
-	// changeMark is the partition's change-log sequence at snapshot time
-	// (-1 when capture was off): the snapshot's visible content in this
-	// partition is exactly the log prefix below changeMark, because both
-	// are pinned under the same partition lock. Incremental view refresh
-	// folds log records up to this mark and recomputes from this snapshot
-	// without double-counting in-flight mutations.
-	changeMark int64
-}
+// Snapshot returns the table's last published state: one atomic load.
+func (t *IndexedTable) Snapshot() *Snapshot { return t.published.Load() }
 
-// Snapshot pins the table's current state. Cost is O(partitions), each
-// partition contributing an O(1) Ctrie snapshot and a watermark read.
-func (t *IndexedTable) Snapshot() *Snapshot {
-	s := &Snapshot{
-		table:   t,
-		version: t.version.Load(),
-		parts:   make([]partSnapshot, len(t.parts)),
-	}
-	for i, p := range t.parts {
-		// The Ctrie snapshot, the watermarks and the change mark are taken
-		// together, with no append in between.
-		p.mu.Lock()
-		changeMark := int64(-1)
-		if t.capture.enabled.Load() {
-			changeMark = p.log.mark()
-		}
-		s.parts[i] = partSnapshot{
-			index:      p.index.ReadOnlySnapshot(),
-			marks:      p.batches.Watermarks(),
-			batches:    p.batches,
-			changeMark: changeMark,
-		}
-		p.mu.Unlock()
-	}
-	return s
-}
+func (s *Snapshot) capturing() bool { return s.marks != nil }
 
 // ChangeMark returns partition p's change-log sequence at snapshot time,
 // or -1 when change capture was off.
-func (s *Snapshot) ChangeMark(p int) int64 { return s.parts[p].changeMark }
+func (s *Snapshot) ChangeMark(p int) int64 {
+	if s.marks == nil {
+		return -1
+	}
+	return s.marks[p]
+}
 
-// Version returns the table version the snapshot was taken at.
+// Version returns the sequence number of the batch the snapshot publishes.
 func (s *Snapshot) Version() int64 { return s.version }
 
 // Schema returns the table schema.
@@ -73,7 +50,7 @@ func (s *Snapshot) Schema() *sqltypes.Schema { return s.table.schema }
 func (s *Snapshot) KeyColumn() int { return s.table.keyCol }
 
 // NumPartitions returns the partition count.
-func (s *Snapshot) NumPartitions() int { return len(s.parts) }
+func (s *Snapshot) NumPartitions() int { return len(s.ends) }
 
 // GetRows returns every row bound to key, newest first — the paper's point
 // lookup (`indexedDF.getRows(key)`): one Ctrie lookup followed by a walk of
@@ -91,24 +68,32 @@ func (s *Snapshot) GetRows(key sqltypes.Value) ([]sqltypes.Row, error) {
 // materializing. The callback's row is reused; clone to retain.
 func (s *Snapshot) LookupEach(key sqltypes.Value, fn func(sqltypes.Row) bool) error {
 	key = NormalizeKey(key)
-	p := s.table.PartitionFor(key)
-	ptr, ok := s.parts[p].index.Lookup(key)
-	if !ok {
-		return nil
+	p := s.table.partOf(key)
+	ptr, err := s.head(p, key)
+	if err != nil || ptr.IsNil() {
+		return err
 	}
-	row := make(sqltypes.Row, s.table.schema.Len())
-	return s.parts[p].batches.Chain(ptr, func(_ rowbatch.Ptr, payload []byte) bool {
-		if err := s.table.codec.DecodeInto(payload, row); err != nil {
-			return false
-		}
-		return fn(row)
-	})
+	return s.ChainEachInto(p, ptr, make(sqltypes.Row, s.table.schema.Len()), fn)
 }
 
-// LookupPtr returns the packed pointer of the newest row for key, if any —
-// the raw index probe joins use.
-func (s *Snapshot) LookupPtr(p int, key sqltypes.Value) (rowbatch.Ptr, bool) {
-	return s.parts[p].index.Lookup(NormalizeKey(key))
+// LookupPtr returns the packed pointer of the newest visible row for key,
+// if any — the raw index probe joins use.
+func (s *Snapshot) LookupPtr(p int, key sqltypes.Value) (rowbatch.Ptr, bool, error) {
+	ptr, err := s.head(p, NormalizeKey(key))
+	return ptr, err == nil && !ptr.IsNil(), err
+}
+
+// head returns the newest record of an already normalized key visible in
+// the snapshot: the live Ctrie head, stepped back past records at or above
+// partition p's end. A key first appended after the snapshot walks off
+// its chain's end and reads as absent.
+func (s *Snapshot) head(p int, key sqltypes.Value) (rowbatch.Ptr, error) {
+	part := s.table.parts[p]
+	ptr, ok := part.index.Lookup(key)
+	if !ok {
+		return rowbatch.Nil, nil
+	}
+	return part.batches.Before(ptr, s.ends[p])
 }
 
 // PartitionFor returns the partition owning key.
@@ -117,9 +102,11 @@ func (s *Snapshot) PartitionFor(key sqltypes.Value) int { return s.table.Partiti
 // ChainEachInto walks the backward chain from ptr in partition p, decoding
 // each row into the caller's buffer row, so callers probing many keys (the
 // indexed joins) allocate one buffer per task instead of one per probe.
+// ptr must be visible in the snapshot (as LookupPtr returns it): every
+// record behind a visible one is visible too.
 func (s *Snapshot) ChainEachInto(p int, ptr rowbatch.Ptr, row sqltypes.Row, fn func(sqltypes.Row) bool) error {
 	var decodeErr error
-	err := s.parts[p].batches.Chain(ptr, func(_ rowbatch.Ptr, payload []byte) bool {
+	err := s.table.parts[p].batches.Chain(ptr, func(_ rowbatch.Ptr, payload []byte) bool {
 		if err := s.table.codec.DecodeInto(payload, row); err != nil {
 			decodeErr = err
 			return false
@@ -185,10 +172,10 @@ func (s *Snapshot) decode(payload []byte, cols []int, row sqltypes.Row) error {
 }
 
 // scanPayloads walks partition p's row batches in append order up to the
-// snapshot's watermarks, streaming each row payload to fn.
+// snapshot's end position, streaming each row payload to fn.
 func (s *Snapshot) scanPayloads(p int, fn func(payload []byte) (bool, error)) error {
 	var innerErr error
-	err := s.parts[p].batches.Scan(s.parts[p].marks, func(_ rowbatch.Ptr, payload []byte) bool {
+	err := s.table.parts[p].batches.Scan(s.ends[p], func(_ rowbatch.Ptr, payload []byte) bool {
 		cont, err := fn(payload)
 		if err != nil {
 			innerErr = err
@@ -206,58 +193,12 @@ func (s *Snapshot) scanPayloads(p int, fn func(payload []byte) (bool, error)) er
 // decoding them — the vectorized scan's sizing pass.
 func (s *Snapshot) PartitionRowCount(p int) (int, error) {
 	n := 0
-	err := s.parts[p].batches.Scan(s.parts[p].marks, func(rowbatch.Ptr, []byte) bool {
+	err := s.table.parts[p].batches.Scan(s.ends[p], func(rowbatch.Ptr, []byte) bool {
 		n++
 		return true
 	})
 	return n, err
 }
 
-// RowCount counts the rows visible in the snapshot. O(partitions x rows).
-func (s *Snapshot) RowCount() (int64, error) {
-	var n int64
-	for p := range s.parts {
-		pn, err := s.PartitionRowCount(p)
-		if err != nil {
-			return 0, err
-		}
-		n += int64(pn)
-	}
-	return n, nil
-}
-
-// Validate cross-checks snapshot invariants (every index pointer resolves
-// within the watermarks and its row's key matches); used by tests and the
-// failure-injection suite.
-func (s *Snapshot) Validate() error {
-	for p := range s.parts {
-		var fail error
-		s.parts[p].index.Iterate(func(k sqltypes.Value, head rowbatch.Ptr) bool {
-			err := s.parts[p].batches.Chain(head, func(ptr rowbatch.Ptr, payload []byte) bool {
-				if ptr.Batch() >= len(s.parts[p].marks) ||
-					int64(ptr.Offset())+int64(ptr.Size()) > s.parts[p].marks[ptr.Batch()] {
-					fail = fmt.Errorf("core: key %v points past snapshot watermark", k)
-					return false
-				}
-				v, err := s.table.codec.DecodeColumn(payload, s.table.keyCol)
-				if err != nil {
-					fail = err
-					return false
-				}
-				if !sqltypes.Equal(v, k) && !(v.IsNull() && k.IsNull()) {
-					fail = fmt.Errorf("core: chain of key %v contains row keyed %v", k, v)
-					return false
-				}
-				return true
-			})
-			if err != nil && fail == nil {
-				fail = err
-			}
-			return fail == nil
-		})
-		if fail != nil {
-			return fail
-		}
-	}
-	return nil
-}
+// RowCount returns the number of rows visible in the snapshot.
+func (s *Snapshot) RowCount() int64 { return s.rows }

@@ -3,10 +3,17 @@
 // indexed column; each partition pairs a lock-free Ctrie index with
 // append-only binary row batches and per-key backward chains, giving
 // sub-linear point lookups and index-powered joins on data that keeps
-// growing, with multi-version concurrency (readers pin O(1) snapshots
-// while appends proceed). As in the paper, a table only grows: there is
-// no delete, and every row ever appended stays visible to later
-// snapshots.
+// growing. As in the paper, a table only grows: there is no delete, and
+// every row ever appended stays visible to later snapshots.
+//
+// Multi-version concurrency rests on one commit point per table. Append
+// validates and encodes a batch, then, as the one writer holding the
+// table's writer mutex, stages its rows behind the live chain heads and
+// publishes an immutable Snapshot — sequence number, per-partition end positions and
+// change marks, row count — with one atomic store. Taking a snapshot is
+// one atomic load. Readers read the live Ctrie and row batches and ignore
+// every record at or above the snapshot's end positions, so they see whole
+// batches only and never wait for the writer.
 package core
 
 import (
@@ -40,36 +47,40 @@ func (o Options) withDefaults() Options {
 
 // Partition is one indexed partition: the cTrie index, the row batches and
 // (threaded through the rows) the backward-pointer lists. index and
-// batches are set once, in NewIndexedTable.
+// batches are set once, in NewIndexedTable; only the table's writer
+// changes them, and readers read them live, bounded by a published end.
 type Partition struct {
-	mu      sync.Mutex // serializes appends; reads are lock-free
 	index   *ctrie.Ctrie[sqltypes.Value, rowbatch.Ptr]
 	batches *rowbatch.Set
 	keys    atomic.Int64 // distinct keys
-	log     partLog      // change records (guarded by mu; see changelog.go)
+	log     partLog      // change records (guarded by the table's logMu)
 }
 
 // IndexedTable is the Indexed DataFrame's storage: a set of indexed
 // partitions hash partitioned on the key column.
 type IndexedTable struct {
-	schema  *sqltypes.Schema
-	keyCol  int
-	codec   *sqltypes.RowCodec
-	parts   []*Partition
-	version atomic.Int64
-	rows    atomic.Int64
-	capture changeCapture
-	hooks   atomic.Pointer[StatsHooks]
+	schema *sqltypes.Schema
+	keyCol int
+	codec  *sqltypes.RowCodec
+	parts  []*Partition
+	// mu is the writer mutex: it serializes Append and the change-capture
+	// switches, the only code that stages rows or publishes.
+	mu sync.Mutex
+	// broken, once set, is why the table takes no more appends (guarded
+	// by mu).
+	broken error
+	// logMu guards every partition's change log.
+	logMu sync.Mutex
+	// published is the commit point: the last batch's immutable Snapshot.
+	// Readers load it and never wait for the writer.
+	published atomic.Pointer[Snapshot]
+	hooks     atomic.Pointer[StatsHooks]
 }
 
-// StatsHooks lets the catalog maintain table statistics incrementally.
-// OnAppend is called with each successfully appended row slice;
-// OnInvalidate when an append fails part-way: the rows that landed are
-// visible but unknown to the caller, so they cannot be folded into
-// additive statistics.
+// StatsHooks lets the catalog maintain table statistics incrementally:
+// OnAppend is called with each appended row slice, after it is published.
 type StatsHooks struct {
-	OnAppend     func(rows []sqltypes.Row)
-	OnInvalidate func()
+	OnAppend func(rows []sqltypes.Row)
 }
 
 // SetStatsHooks installs (or, with nil, removes) the statistics
@@ -81,12 +92,6 @@ func (t *IndexedTable) SetStatsHooks(h *StatsHooks) { t.hooks.Store(h) }
 func (t *IndexedTable) statsAppend(rows []sqltypes.Row) {
 	if h := t.hooks.Load(); h != nil && h.OnAppend != nil {
 		h.OnAppend(rows)
-	}
-}
-
-func (t *IndexedTable) statsInvalidate() {
-	if h := t.hooks.Load(); h != nil && h.OnInvalidate != nil {
-		h.OnInvalidate()
 	}
 }
 
@@ -110,6 +115,7 @@ func NewIndexedTable(schema *sqltypes.Schema, keyCol int, opts Options) (*Indexe
 			batches: rowbatch.NewSet(opts.BatchSize),
 		}
 	}
+	t.published.Store(&Snapshot{table: t, ends: make([]rowbatch.Ptr, len(t.parts))})
 	return t, nil
 }
 
@@ -145,135 +151,125 @@ func (t *IndexedTable) KeyColumn() int { return t.keyCol }
 // NumPartitions returns the partition count.
 func (t *IndexedTable) NumPartitions() int { return len(t.parts) }
 
-// RowCount returns the total number of rows appended so far.
-func (t *IndexedTable) RowCount() int64 { return t.rows.Load() }
+// RowCount returns the number of rows published so far.
+func (t *IndexedTable) RowCount() int64 { return t.published.Load().rows }
 
-// Version returns the table's monotonically increasing version, bumped on
-// every append batch.
-func (t *IndexedTable) Version() int64 { return t.version.Load() }
+// Version returns the table's monotonically increasing version: the
+// sequence number of the last published append batch.
+func (t *IndexedTable) Version() int64 { return t.published.Load().version }
 
 // PartitionFor returns the partition owning key.
 func (t *IndexedTable) PartitionFor(key sqltypes.Value) int {
-	return int(NormalizeKey(key).Hash64() % uint64(len(t.parts)))
+	return t.partOf(NormalizeKey(key))
 }
 
-// Append routes rows to their hash partitions and appends them. It is the
-// fine-grained and batch update entry point: appending a one-row slice is
-// a low-latency point insert, large slices amortize. Safe for concurrent
-// use with readers and other appenders.
+// partOf returns the partition owning an already normalized key.
+func (t *IndexedTable) partOf(key sqltypes.Value) int {
+	return int(key.Hash64() % uint64(len(t.parts)))
+}
+
+// record is one validated row of an append batch: its normalized key, its
+// partition and the end of its encoding in the batch's buffer.
+type record struct {
+	key  sqltypes.Value
+	part int
+	end  int
+}
+
+// Append adds rows as one batch — the fine-grained and batch update entry
+// point: a one-row slice is a low-latency point insert, large slices
+// amortize. Every row is validated and encoded before storage is touched,
+// so a batch that fails publishes nothing; one that succeeds becomes
+// visible to later snapshots all at once. Safe for concurrent use: appends
+// serialize on the writer mutex, readers never wait for them.
 func (t *IndexedTable) Append(rows []sqltypes.Row) error {
 	if len(rows) == 0 {
 		return nil
 	}
-	n := len(t.parts)
-	if len(rows) == 1 {
-		// Fast path for fine-grained appends: no routing allocation.
-		p := t.PartitionFor(rows[0][t.keyCol])
-		logged, err := t.appendToPartition(p, rows)
-		if err != nil {
-			return err
-		}
-		if !logged {
-			t.version.Add(1)
-		}
-		t.statsAppend(rows)
-		return nil
+	recs, buf, err := t.encode(rows)
+	if err != nil {
+		return err
 	}
-	routed := make([][]sqltypes.Row, n)
-	for _, row := range rows {
-		if len(row) != t.schema.Len() {
-			return fmt.Errorf("core: row arity %d does not match schema %s", len(row), t.schema)
-		}
-		p := t.PartitionFor(row[t.keyCol])
-		routed[p] = append(routed[p], row)
-	}
-	logged := false
-	applied := false
-	for p, part := range routed {
-		if len(part) == 0 {
-			continue
-		}
-		l, err := t.appendToPartition(p, part)
-		if err != nil {
-			if applied {
-				// Earlier partitions already hold rows from this batch;
-				// additive stats can no longer tell which rows landed.
-				t.statsInvalidate()
-			}
-			return err
-		}
-		applied = true
-		logged = logged || l
-	}
-	if !logged {
-		t.version.Add(1)
+	t.mu.Lock()
+	err = t.commit(rows, recs, buf)
+	t.mu.Unlock()
+	if err != nil {
+		return err
 	}
 	t.statsAppend(rows)
 	return nil
 }
 
-// AppendToPartition appends pre-routed rows to partition p. Every row's
-// key must hash to p (the shuffle-based index build guarantees this).
-func (t *IndexedTable) AppendToPartition(p int, rows []sqltypes.Row) error {
-	_, err := t.appendToPartition(p, rows)
-	if err == nil {
-		t.statsAppend(rows)
+// encode validates and encodes rows into one buffer, routing each to its
+// partition.
+func (t *IndexedTable) encode(rows []sqltypes.Row) ([]record, []byte, error) {
+	size := 0
+	for _, row := range rows {
+		if len(row) != t.schema.Len() {
+			return nil, nil, fmt.Errorf("core: row arity %d does not match schema %s", len(row), t.schema)
+		}
+		size += t.codec.MaxEncodedSize(row)
 	}
-	return err
+	recs := make([]record, len(rows))
+	buf := make([]byte, 0, size)
+	for i, row := range rows {
+		start := len(buf)
+		var err error
+		if buf, err = t.codec.Encode(buf, row); err != nil {
+			return nil, nil, fmt.Errorf("core: row %d: %v", i, err)
+		}
+		// Every partition's Set has the same batch size.
+		if err := t.parts[0].batches.Check(len(buf) - start); err != nil {
+			return nil, nil, fmt.Errorf("core: row %d: %v", i, err)
+		}
+		key := NormalizeKey(row[t.keyCol])
+		recs[i] = record{key: key, part: t.partOf(key), end: len(buf)}
+	}
+	return recs, buf, nil
 }
 
-// appendToPartition applies the physical append under the partition lock
-// and, when change capture is on, logs the change record under the same
-// lock (bumping the table version); logged reports whether it did. The
-// capture flag is read inside the lock so a snapshot taken after capture
-// is enabled can never observe rows that are neither in its content nor in
-// the change log it pins.
-func (t *IndexedTable) appendToPartition(p int, rows []sqltypes.Row) (logged bool, err error) {
-	part := t.parts[p]
-	part.mu.Lock()
-	defer part.mu.Unlock()
-	capture := t.capture.enabled.Load()
-	applied := 0
-	var buf []byte
-	for _, row := range rows {
-		key := NormalizeKey(row[t.keyCol])
-		prev, _ := part.index.Lookup(key)
-		buf, err = t.codec.Encode(buf[:0], row)
+// commit stages an encoded batch and publishes it; the caller holds mu.
+// Staging writes each record behind its key's live chain head and swaps
+// the head in the live Ctrie; readers of the published snapshot step back
+// past the staged records, which lie at or above its end positions. The
+// single atomic store of the next snapshot is the batch's commit point.
+func (t *IndexedTable) commit(rows []sqltypes.Row, recs []record, buf []byte) error {
+	if t.broken != nil {
+		return t.broken
+	}
+	prev := t.published.Load()
+	start := 0
+	for _, r := range recs {
+		part := t.parts[r.part]
+		head, had := part.index.Lookup(r.key)
+		ptr, err := part.batches.Append(head, buf[start:r.end])
 		if err != nil {
-			err = fmt.Errorf("core: partition %d: %v", p, err)
-			break
+			// Only a partition out of batch address space gets here (rows
+			// were checked): the staged prefix is unpublished, and later
+			// batches would publish it, so the table stops taking appends.
+			t.broken = fmt.Errorf("core: partition %d: %v; table closed to appends", r.part, err)
+			return t.broken
 		}
-		var ptr rowbatch.Ptr
-		ptr, err = part.batches.Append(prev, buf)
-		if err != nil {
-			err = fmt.Errorf("core: partition %d: %v", p, err)
-			break
-		}
-		if _, had := part.index.Swap(key, ptr); !had {
+		part.index.Insert(r.key, ptr)
+		if !had {
 			part.keys.Add(1)
 		}
-		t.rows.Add(1)
-		applied++
+		start = r.end
 	}
-	if err != nil {
-		if applied > 0 {
-			if capture {
-				// Part of the batch is physically visible but cannot be logged
-				// as the caller's batch; break the log so delta consumers
-				// recompute instead of silently missing the applied prefix.
-				t.invalidateLogLocked(part)
-			}
-			// The applied prefix is visible but unknown to the caller, so
-			// additive statistics can no longer be maintained.
-			t.statsInvalidate()
-		}
-		return false, err
+	next := &Snapshot{
+		table:   t,
+		version: prev.version + 1,
+		rows:    prev.rows + int64(len(recs)),
+		ends:    make([]rowbatch.Ptr, len(t.parts)),
 	}
-	if capture {
-		t.logAppendLocked(part, rows)
-		return true, nil
+	for p, part := range t.parts {
+		next.ends[p] = part.batches.End()
 	}
-	return false, nil
+	if prev.capturing() {
+		next.marks = t.logBatch(rows, recs)
+	}
+	t.published.Store(next)
+	return nil
 }
 
 // DistinctKeys returns the number of distinct keys across partitions.

@@ -12,7 +12,12 @@
 //
 // The Indexed DataFrame stores, per partition, a Ctrie keyed by the indexed
 // column value whose payload is the packed 64-bit pointer to the latest row
-// appended with that key.
+// appended with that key. Its bindings are only ever added or replaced,
+// never removed. The engine reads the live trie and takes no snapshots
+// (a table's snapshot is a published row-batch position instead), so the
+// generation never changes and no path is ever renewed; ReadOnlySnapshot
+// and the RDCSS/GCAS generation machinery remain for the snapshot
+// micro-benchmark.
 package ctrie
 
 import (
@@ -42,12 +47,11 @@ type sNode[K comparable, V any] struct {
 
 func (*sNode[K, V]) isBranch() {}
 
-// mainNode is the value an iNode points at: exactly one of cn / tn / ln is
-// set, or failed for the GCAS failure marker. prev is the GCAS bookkeeping
-// field.
+// mainNode is the value an iNode points at: exactly one of cn / ln is set,
+// or failed for the GCAS failure marker. prev is the GCAS bookkeeping
+// field. Bindings are never removed, so a node never contracts.
 type mainNode[K comparable, V any] struct {
 	cn     *cNode[K, V]
-	tn     *sNode[K, V]    // tomb node wrapping the entombed sNode
 	ln     []*sNode[K, V]  // list node for full-hash collisions
 	failed *mainNode[K, V] // non-nil marks a failed GCAS (wraps previous main)
 	prev   atomic.Pointer[mainNode[K, V]]
@@ -105,9 +109,6 @@ func New[K comparable, V any](hasher func(K) uint64) *Ctrie[K, V] {
 	c.root.Store(&rootBox[K, V]{in: in})
 	return c
 }
-
-// ReadOnly reports whether the trie is a read-only snapshot.
-func (c *Ctrie[K, V]) ReadOnly() bool { return c.readOnly }
 
 // ---------------------------------------------------------------------------
 // RDCSS root access
@@ -239,13 +240,6 @@ func (cn *cNode[K, V]) updatedAt(pos int, b branch[K, V], g *gen) *cNode[K, V] {
 	return &cNode[K, V]{bitmap: cn.bitmap, array: arr, gen: g}
 }
 
-func (cn *cNode[K, V]) removedAt(pos int, flag uint32, g *gen) *cNode[K, V] {
-	arr := make([]branch[K, V], len(cn.array)-1)
-	copy(arr, cn.array[:pos])
-	copy(arr[pos:], cn.array[pos+1:])
-	return &cNode[K, V]{bitmap: cn.bitmap &^ flag, array: arr, gen: g}
-}
-
 // renewed copies the cNode, refreshing every child iNode to generation g.
 func (cn *cNode[K, V]) renewed(g *gen, c *Ctrie[K, V]) *cNode[K, V] {
 	arr := make([]branch[K, V], len(cn.array))
@@ -263,35 +257,6 @@ func (in *iNode[K, V]) copyToGen(g *gen, c *Ctrie[K, V]) *iNode[K, V] {
 	nin := &iNode[K, V]{gen: g}
 	nin.main.Store(c.gcasRead(in))
 	return nin
-}
-
-// toContracted turns a single-sNode cNode below the root into a tomb.
-func (cn *cNode[K, V]) toContracted(lev uint) *mainNode[K, V] {
-	if lev > 0 && len(cn.array) == 1 {
-		if sn, ok := cn.array[0].(*sNode[K, V]); ok {
-			return &mainNode[K, V]{tn: sn}
-		}
-	}
-	return &mainNode[K, V]{cn: cn}
-}
-
-// toCompressed resurrects tombed children and contracts.
-func (cn *cNode[K, V]) toCompressed(c *Ctrie[K, V], lev uint, g *gen) *mainNode[K, V] {
-	arr := make([]branch[K, V], len(cn.array))
-	for i, b := range cn.array {
-		switch br := b.(type) {
-		case *iNode[K, V]:
-			m := c.gcasRead(br)
-			if m != nil && m.tn != nil {
-				arr[i] = m.tn // resurrect
-			} else {
-				arr[i] = br
-			}
-		default:
-			arr[i] = b
-		}
-	}
-	return (&cNode[K, V]{bitmap: cn.bitmap, array: arr, gen: g}).toContracted(lev)
 }
 
 // dual builds the structure separating two sNodes that collide at lev.
@@ -317,44 +282,6 @@ func dual[K comparable, V any](x, y *sNode[K, V], lev uint, g *gen) *mainNode[K,
 }
 
 // ---------------------------------------------------------------------------
-// clean / cleanParent
-
-func (c *Ctrie[K, V]) clean(in *iNode[K, V], lev uint) {
-	m := c.gcasRead(in)
-	if m != nil && m.cn != nil {
-		c.gcas(in, m, m.cn.toCompressed(c, lev, in.gen))
-	}
-}
-
-func (c *Ctrie[K, V]) cleanParent(parent, in *iNode[K, V], hash uint64, lev uint, startgen *gen) {
-	for {
-		pm := c.gcasRead(parent)
-		if pm == nil || pm.cn == nil {
-			return
-		}
-		cn := pm.cn
-		flag, pos := flagPos(hash, lev, cn.bitmap)
-		if cn.bitmap&flag == 0 {
-			return
-		}
-		sub, ok := cn.array[pos].(*iNode[K, V])
-		if !ok || sub != in {
-			return
-		}
-		m := c.gcasRead(in)
-		if m != nil && m.tn != nil {
-			ncn := cn.updatedAt(pos, m.tn, in.gen).toContracted(lev)
-			if !c.gcas(parent, pm, ncn) {
-				if c.rdcssReadRoot(false).gen == startgen {
-					continue
-				}
-			}
-		}
-		return
-	}
-}
-
-// ---------------------------------------------------------------------------
 // Lookup
 
 // Lookup returns the value bound to key and whether it was present.
@@ -362,7 +289,7 @@ func (c *Ctrie[K, V]) Lookup(key K) (V, bool) {
 	h := c.hasher(key)
 	for {
 		r := c.rdcssReadRoot(false)
-		v, found, ok := c.ilookup(r, h, key, 0, nil, r.gen)
+		v, found, ok := c.ilookup(r, h, key, 0, r.gen)
 		if ok {
 			return v, found
 		}
@@ -370,7 +297,7 @@ func (c *Ctrie[K, V]) Lookup(key K) (V, bool) {
 }
 
 func (c *Ctrie[K, V]) ilookup(in *iNode[K, V], hash uint64, key K, lev uint,
-	parent *iNode[K, V], startgen *gen) (v V, found, ok bool) {
+	startgen *gen) (v V, found, ok bool) {
 	var zero V
 	m := c.gcasRead(in)
 	switch {
@@ -383,10 +310,10 @@ func (c *Ctrie[K, V]) ilookup(in *iNode[K, V], hash uint64, key K, lev uint,
 		switch b := cn.array[pos].(type) {
 		case *iNode[K, V]:
 			if c.readOnly || startgen == b.gen {
-				return c.ilookup(b, hash, key, lev+w, in, startgen)
+				return c.ilookup(b, hash, key, lev+w, startgen)
 			}
 			if c.gcas(in, m, &mainNode[K, V]{cn: cn.renewed(startgen, c)}) {
-				return c.ilookup(in, hash, key, lev, parent, startgen)
+				return c.ilookup(in, hash, key, lev, startgen)
 			}
 			return zero, false, false
 		case *sNode[K, V]:
@@ -395,15 +322,6 @@ func (c *Ctrie[K, V]) ilookup(in *iNode[K, V], hash uint64, key K, lev uint,
 			}
 			return zero, false, true
 		}
-	case m.tn != nil:
-		if c.readOnly {
-			if m.tn.hash == hash && m.tn.key == key {
-				return m.tn.val, true, true
-			}
-			return zero, false, true
-		}
-		c.clean(parent, lev-w)
-		return zero, false, false
 	case m.ln != nil:
 		for _, sn := range m.ln {
 			if sn.hash == hash && sn.key == key {
@@ -432,7 +350,7 @@ func (c *Ctrie[K, V]) Swap(key K, val V) (prev V, had bool) {
 	h := c.hasher(key)
 	for {
 		r := c.rdcssReadRoot(false)
-		p, hd, ok := c.iinsert(r, h, key, val, 0, nil, r.gen)
+		p, hd, ok := c.iinsert(r, h, key, val, 0, r.gen)
 		if ok {
 			return p, hd
 		}
@@ -440,7 +358,7 @@ func (c *Ctrie[K, V]) Swap(key K, val V) (prev V, had bool) {
 }
 
 func (c *Ctrie[K, V]) iinsert(in *iNode[K, V], hash uint64, key K, val V, lev uint,
-	parent *iNode[K, V], startgen *gen) (prev V, had, ok bool) {
+	startgen *gen) (prev V, had, ok bool) {
 	var zero V
 	m := c.gcasRead(in)
 	switch {
@@ -461,10 +379,10 @@ func (c *Ctrie[K, V]) iinsert(in *iNode[K, V], hash uint64, key K, val V, lev ui
 		switch b := cn.array[pos].(type) {
 		case *iNode[K, V]:
 			if startgen == b.gen {
-				return c.iinsert(b, hash, key, val, lev+w, in, startgen)
+				return c.iinsert(b, hash, key, val, lev+w, startgen)
 			}
 			if c.gcas(in, m, &mainNode[K, V]{cn: cn.renewed(startgen, c)}) {
-				return c.iinsert(in, hash, key, val, lev, parent, startgen)
+				return c.iinsert(in, hash, key, val, lev, startgen)
 			}
 			return zero, false, false
 		case *sNode[K, V]:
@@ -488,9 +406,6 @@ func (c *Ctrie[K, V]) iinsert(in *iNode[K, V], hash uint64, key K, val V, lev ui
 			}
 			return zero, false, false
 		}
-	case m.tn != nil:
-		c.clean(parent, lev-w)
-		return zero, false, false
 	case m.ln != nil:
 		nl := make([]*sNode[K, V], 0, len(m.ln)+1)
 		var old *sNode[K, V]
@@ -514,117 +429,7 @@ func (c *Ctrie[K, V]) iinsert(in *iNode[K, V], hash uint64, key K, val V, lev ui
 }
 
 // ---------------------------------------------------------------------------
-// Remove
-
-// Remove deletes key's binding and returns the removed value, if any.
-// Panics on read-only snapshots.
-func (c *Ctrie[K, V]) Remove(key K) (V, bool) {
-	if c.readOnly {
-		panic("ctrie: write on read-only snapshot")
-	}
-	h := c.hasher(key)
-	for {
-		r := c.rdcssReadRoot(false)
-		v, removed, ok := c.iremove(r, h, key, 0, nil, r.gen)
-		if ok {
-			return v, removed
-		}
-	}
-}
-
-func (c *Ctrie[K, V]) iremove(in *iNode[K, V], hash uint64, key K, lev uint,
-	parent *iNode[K, V], startgen *gen) (v V, removed, ok bool) {
-	var zero V
-	m := c.gcasRead(in)
-	switch {
-	case m.cn != nil:
-		cn := m.cn
-		flag, pos := flagPos(hash, lev, cn.bitmap)
-		if cn.bitmap&flag == 0 {
-			return zero, false, true
-		}
-		var res V
-		var hit bool
-		switch b := cn.array[pos].(type) {
-		case *iNode[K, V]:
-			if startgen == b.gen {
-				var o bool
-				res, hit, o = c.iremove(b, hash, key, lev+w, in, startgen)
-				if !o {
-					return zero, false, false
-				}
-			} else {
-				if c.gcas(in, m, &mainNode[K, V]{cn: cn.renewed(startgen, c)}) {
-					return c.iremove(in, hash, key, lev, parent, startgen)
-				}
-				return zero, false, false
-			}
-		case *sNode[K, V]:
-			if b.hash != hash || b.key != key {
-				return zero, false, true
-			}
-			ncn := cn.removedAt(pos, flag, in.gen).toContracted(lev)
-			if !c.gcas(in, m, ncn) {
-				return zero, false, false
-			}
-			res, hit = b.val, true
-		}
-		if !hit {
-			return zero, false, true
-		}
-		if parent != nil {
-			nm := c.gcasRead(in)
-			if nm != nil && nm.tn != nil {
-				c.cleanParent(parent, in, hash, lev-w, startgen)
-			}
-		}
-		return res, true, true
-	case m.tn != nil:
-		c.clean(parent, lev-w)
-		return zero, false, false
-	case m.ln != nil:
-		nl := make([]*sNode[K, V], 0, len(m.ln))
-		var old *sNode[K, V]
-		for _, sn := range m.ln {
-			if sn.hash == hash && sn.key == key {
-				old = sn
-				continue
-			}
-			nl = append(nl, sn)
-		}
-		if old == nil {
-			return zero, false, true
-		}
-		var nmn *mainNode[K, V]
-		if len(nl) == 1 {
-			nmn = &mainNode[K, V]{tn: nl[0]}
-		} else {
-			nmn = &mainNode[K, V]{ln: nl}
-		}
-		if c.gcas(in, m, nmn) {
-			return old.val, true, true
-		}
-		return zero, false, false
-	}
-	return zero, false, true
-}
-
-// ---------------------------------------------------------------------------
 // Snapshots
-
-// Snapshot returns a writable snapshot of the trie in O(1). The snapshot
-// and the original share structure; both lazily copy paths on write.
-func (c *Ctrie[K, V]) Snapshot() *Ctrie[K, V] {
-	for {
-		r := c.rdcssReadRoot(false)
-		expmain := c.gcasRead(r)
-		if c.rdcssRoot(r, expmain, r.copyToGen(&gen{}, c)) {
-			snap := &Ctrie[K, V]{hasher: c.hasher}
-			snap.root.Store(&rootBox[K, V]{in: r.copyToGen(&gen{}, c)})
-			return snap
-		}
-	}
-}
 
 // ReadOnlySnapshot returns a read-only snapshot in O(1). Reads on it never
 // allocate or help writers; writes panic. This is what Indexed DataFrame
@@ -640,23 +445,6 @@ func (c *Ctrie[K, V]) ReadOnlySnapshot() *Ctrie[K, V] {
 			snap := &Ctrie[K, V]{hasher: c.hasher, readOnly: true}
 			snap.root.Store(&rootBox[K, V]{in: r})
 			return snap
-		}
-	}
-}
-
-// Clear removes all bindings (atomically swings the root to an empty trie).
-func (c *Ctrie[K, V]) Clear() {
-	if c.readOnly {
-		panic("ctrie: write on read-only snapshot")
-	}
-	for {
-		r := c.rdcssReadRoot(false)
-		expmain := c.gcasRead(r)
-		g := &gen{}
-		nin := &iNode[K, V]{gen: g}
-		nin.main.Store(&mainNode[K, V]{cn: &cNode[K, V]{gen: g}})
-		if c.rdcssRoot(r, expmain, nin) {
-			return
 		}
 	}
 }
@@ -691,8 +479,6 @@ func (c *Ctrie[K, V]) iterate(in *iNode[K, V], fn func(K, V) bool) bool {
 				}
 			}
 		}
-	case m.tn != nil:
-		return fn(m.tn.key, m.tn.val)
 	case m.ln != nil:
 		for _, sn := range m.ln {
 			if !fn(sn.key, sn.val) {

@@ -55,41 +55,6 @@ func TestSwapReturnsPrevious(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	c := newU64()
-	const n = 500
-	for i := uint64(0); i < n; i++ {
-		c.Insert(i, i)
-	}
-	// Remove odd keys.
-	for i := uint64(1); i < n; i += 2 {
-		v, removed := c.Remove(i)
-		if !removed || v != i {
-			t.Fatalf("Remove(%d) = %d,%v", i, v, removed)
-		}
-	}
-	// Removing again is a no-op.
-	if _, removed := c.Remove(1); removed {
-		t.Fatal("double remove succeeded")
-	}
-	for i := uint64(0); i < n; i++ {
-		_, found := c.Lookup(i)
-		if want := i%2 == 0; found != want {
-			t.Fatalf("Lookup(%d) found=%v, want %v", i, found, want)
-		}
-	}
-	if got := c.Len(); got != n/2 {
-		t.Fatalf("Len = %d, want %d", got, n/2)
-	}
-	// Remove the rest; trie must drain to empty.
-	for i := uint64(0); i < n; i += 2 {
-		c.Remove(i)
-	}
-	if got := c.Len(); got != 0 {
-		t.Fatalf("Len after draining = %d, want 0", got)
-	}
-}
-
 func TestFullHashCollisionsUseLNodes(t *testing.T) {
 	// A constant hasher forces every key through the l-node path.
 	c := New[uint64, string](func(uint64) uint64 { return 42 })
@@ -110,18 +75,11 @@ func TestFullHashCollisionsUseLNodes(t *testing.T) {
 	if !had || prev != "7" {
 		t.Fatalf("collision Swap = %q,%v", prev, had)
 	}
-	// Remove from the l-node down to a single entry (entombs).
-	for i := uint64(0); i < 49; i++ {
-		if _, removed := c.Remove(i); !removed {
-			t.Fatalf("collision Remove(%d) failed", i)
-		}
+	if v, found := c.Lookup(7); !found || v != "seven" {
+		t.Fatalf("collision Lookup(7) after Swap = %q,%v", v, found)
 	}
-	v, found := c.Lookup(49)
-	if !found || v != "49" {
-		t.Fatalf("last collision survivor = %q,%v", v, found)
-	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
+	if c.Len() != 50 {
+		t.Fatalf("Len after Swap = %d, want 50", c.Len())
 	}
 }
 
@@ -137,13 +95,8 @@ func TestPartialCollisionsNest(t *testing.T) {
 			t.Fatalf("nested Lookup(%d) = %d,%v", i, v, found)
 		}
 	}
-	for i := uint64(0); i < 128; i++ {
-		if _, removed := c.Remove(i); !removed {
-			t.Fatalf("nested Remove(%d) failed", i)
-		}
-	}
-	if c.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", c.Len())
+	if c.Len() != 128 {
+		t.Fatalf("Len = %d, want 128", c.Len())
 	}
 }
 
@@ -153,15 +106,12 @@ func TestSnapshotIsolation(t *testing.T) {
 		c.Insert(i, i)
 	}
 	snap := c.ReadOnlySnapshot()
-	// Mutate the original: overwrites, inserts, removes.
+	// Mutate the original: overwrites and inserts.
 	for i := uint64(0); i < 100; i++ {
 		c.Insert(i, i+1000)
 	}
 	for i := uint64(100); i < 200; i++ {
 		c.Insert(i, i)
-	}
-	for i := uint64(0); i < 50; i++ {
-		c.Remove(i)
 	}
 	// The snapshot still sees the original state.
 	for i := uint64(0); i < 100; i++ {
@@ -180,30 +130,8 @@ func TestSnapshotIsolation(t *testing.T) {
 	if v, _ := c.Lookup(60); v != 1060 {
 		t.Fatalf("live Lookup(60) = %d, want 1060", v)
 	}
-	if _, found := c.Lookup(10); found {
-		t.Fatal("live trie still contains a removed key")
-	}
-}
-
-func TestWritableSnapshotDiverges(t *testing.T) {
-	c := newU64()
-	for i := uint64(0); i < 64; i++ {
-		c.Insert(i, i)
-	}
-	snap := c.Snapshot()
-	snap.Insert(999, 999)
-	c.Insert(888, 888)
-	if _, found := c.Lookup(999); found {
-		t.Fatal("write to snapshot leaked into original")
-	}
-	if _, found := snap.Lookup(888); found {
-		t.Fatal("write to original leaked into snapshot")
-	}
-	// Both keep the common prefix.
-	for i := uint64(0); i < 64; i++ {
-		if v, found := snap.Lookup(i); !found || v != i {
-			t.Fatalf("snapshot lost key %d", i)
-		}
+	if _, found := c.Lookup(150); !found {
+		t.Fatal("live trie lost a key inserted after the snapshot")
 	}
 }
 
@@ -221,38 +149,21 @@ func TestReadOnlySnapshotPanicsOnWrite(t *testing.T) {
 func TestSnapshotOfSnapshot(t *testing.T) {
 	c := newU64()
 	c.Insert(1, 1)
-	s1 := c.Snapshot()
-	s1.Insert(2, 2)
-	s2 := s1.Snapshot()
-	s2.Insert(3, 3)
-	if _, found := s1.Lookup(3); found {
-		t.Fatal("nested snapshot write leaked up")
+	s1 := c.ReadOnlySnapshot()
+	c.Insert(2, 2)
+	s2 := c.ReadOnlySnapshot()
+	c.Insert(3, 3)
+	if _, found := s1.Lookup(2); found {
+		t.Fatal("older snapshot sees a later insert")
 	}
 	if _, found := s2.Lookup(2); !found {
-		t.Fatal("nested snapshot lost parent state")
+		t.Fatal("newer snapshot lost an earlier insert")
 	}
-	ro := s2.ReadOnlySnapshot()
-	if ro.ReadOnlySnapshot() != ro {
+	if _, found := s2.Lookup(3); found {
+		t.Fatal("newer snapshot sees a later insert")
+	}
+	if s2.ReadOnlySnapshot() != s2 {
 		t.Fatal("read-only snapshot of a read-only snapshot should be itself")
-	}
-}
-
-func TestClear(t *testing.T) {
-	c := newU64()
-	for i := uint64(0); i < 100; i++ {
-		c.Insert(i, i)
-	}
-	snap := c.ReadOnlySnapshot()
-	c.Clear()
-	if c.Len() != 0 {
-		t.Fatalf("Len after Clear = %d", c.Len())
-	}
-	if snap.Len() != 100 {
-		t.Fatalf("snapshot disturbed by Clear: Len = %d", snap.Len())
-	}
-	c.Insert(5, 50) // trie usable after Clear
-	if v, _ := c.Lookup(5); v != 50 {
-		t.Fatal("trie unusable after Clear")
 	}
 }
 
@@ -328,9 +239,10 @@ func TestQuickAgainstMap(t *testing.T) {
 					return false
 				}
 			case 3:
-				gotV, gotOK := c.Remove(k)
+				v := rng.Uint64()
+				gotV, gotOK := c.Swap(k, v)
 				wantV, wantOK := ref[k]
-				delete(ref, k)
+				ref[k] = v
 				if gotOK != wantOK || (gotOK && gotV != wantV) {
 					return false
 				}
@@ -386,7 +298,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	const keys = 256
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	// Writers insert/remove on a shared key space.
+	// Writers insert and swap on a shared key space.
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(seed int64) {
@@ -396,8 +308,9 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 				k := uint64(rng.Intn(keys))
 				if rng.Intn(2) == 0 {
 					c.Insert(k, k*2)
-				} else {
-					c.Remove(k)
+				} else if prev, had := c.Swap(k, k*2); had && prev != k*2 {
+					t.Errorf("Swap(%d) replaced torn value %d", k, prev)
+					return
 				}
 			}
 		}(int64(g))

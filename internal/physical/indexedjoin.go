@@ -67,14 +67,14 @@ func (j *IndexedJoinExec) joinProbeRow(snap *core.Snapshot, p int, probeRow sqlt
 	if key.IsNull() {
 		return false, nil
 	}
-	ptr, ok := snap.LookupPtr(p, key)
+	ptr, ok, err := snap.LookupPtr(p, key)
 	if !ok {
-		return false, nil
+		return false, err
 	}
 	matched := false
 	var evalErr error
 	iw, w := len(buf), len(buf)+len(probeRow)
-	err := snap.ChainEachInto(p, ptr, buf, func(indexedRow sqltypes.Row) bool {
+	err = snap.ChainEachInto(p, ptr, buf, func(indexedRow sqltypes.Row) bool {
 		joined := out.slab.next(w)
 		if j.IndexedIsLeft {
 			copy(joined, indexedRow)

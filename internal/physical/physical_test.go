@@ -348,9 +348,16 @@ func TestSnapshotMemoizationPerQuery(t *testing.T) {
 	if s1 != s2 {
 		t.Fatal("snapshots not memoized within a query")
 	}
-	c2 := ec()
-	if c2.SnapshotOf(it.Core()) == s1 {
-		t.Fatal("snapshot shared across queries")
+	// A snapshot is a published batch: queries between two appends share
+	// it, and a query after an append sees the newer one.
+	if ec().SnapshotOf(it.Core()) != s1 {
+		t.Fatal("queries with no append between them see different snapshots")
+	}
+	if err := it.Core().Append([]sqltypes.Row{{sqltypes.NewInt64(1), sqltypes.NewString("late")}}); err != nil {
+		t.Fatal(err)
+	}
+	if s3 := ec().SnapshotOf(it.Core()); s3.Version() <= s1.Version() || c.SnapshotOf(it.Core()) != s1 {
+		t.Fatalf("after an append: new query at version %d, first query moved off %d", s3.Version(), s1.Version())
 	}
 }
 

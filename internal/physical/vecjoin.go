@@ -769,12 +769,15 @@ func (it *vecIndexedJoinIter) Next() (*vector.Batch, error) {
 			if keyCol.IsNull(i) {
 				continue
 			}
-			ptr, ok := it.snap.LookupPtr(it.part, keyCol.Get(i))
+			ptr, ok, err := it.snap.LookupPtr(it.part, keyCol.Get(i))
+			if err != nil {
+				return nil, err
+			}
 			if !ok {
 				continue
 			}
 			var appendErr error
-			err := it.snap.ChainEachInto(it.part, ptr, it.decodeRow, func(indexedRow sqltypes.Row) bool {
+			err = it.snap.ChainEachInto(it.part, ptr, it.decodeRow, func(indexedRow sqltypes.Row) bool {
 				appendErr = appendJoined(it.out, b, i, indexedRow, !it.indexedIsLeft)
 				return appendErr == nil
 			})

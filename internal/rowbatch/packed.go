@@ -59,6 +59,14 @@ func MakePtr(batch int, offset int, size int) (Ptr, error) {
 		uint64(size)), nil
 }
 
+// endPtr is the position just past byte used of batch bi: records before
+// it in append order pack to smaller Ptrs (batch, then offset, are the
+// high fields; the size bits stay zero), later ones to larger. A full
+// batch's bound carries into the next batch's, which orders the same.
+func endPtr(bi, used int) Ptr {
+	return Ptr(uint64(bi)<<(offsetBits+sizeBits) + uint64(used+1)<<sizeBits)
+}
+
 // IsNil reports whether p is the null pointer.
 func (p Ptr) IsNil() bool { return p == Nil }
 

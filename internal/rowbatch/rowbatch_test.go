@@ -143,7 +143,7 @@ func TestScanAppendOrder(t *testing.T) {
 		}
 	}
 	var got []byte
-	if err := s.Scan(nil, func(_ Ptr, payload []byte) bool {
+	if err := s.Scan(s.End(), func(_ Ptr, payload []byte) bool {
 		got = append(got, payload[0])
 		return true
 	}); err != nil {
@@ -161,21 +161,32 @@ func TestScanAppendOrder(t *testing.T) {
 
 func TestWatermarkSnapshotHidesLaterAppends(t *testing.T) {
 	s := NewSet(128)
-	for i := 0; i < 20; i++ {
-		if _, err := s.Append(Nil, []byte{1}); err != nil {
-			t.Fatal(err)
-		}
+	if s.End() != Nil {
+		t.Fatal("empty set has a non-nil end")
 	}
-	marks := s.Watermarks()
-	for i := 0; i < 30; i++ {
-		if _, err := s.Append(Nil, []byte{2}); err != nil {
+	var head Ptr
+	for i := 0; i < 20; i++ {
+		p, err := s.Append(head, []byte{1})
+		if err != nil {
 			t.Fatal(err)
 		}
+		head = p
+	}
+	end := s.End()
+	for i := 0; i < 30; i++ {
+		p, err := s.Append(head, []byte{2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p < end {
+			t.Fatalf("record %v appended after end %v orders below it", p, end)
+		}
+		head = p
 	}
 	n := 0
-	if err := s.Scan(marks, func(_ Ptr, payload []byte) bool {
-		if payload[0] != 1 {
-			t.Fatal("snapshot scan observed a post-snapshot row")
+	if err := s.Scan(end, func(p Ptr, payload []byte) bool {
+		if payload[0] != 1 || p >= end {
+			t.Fatal("scan to an earlier end observed a later row")
 		}
 		n++
 		return true
@@ -183,15 +194,44 @@ func TestWatermarkSnapshotHidesLaterAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n != 20 {
-		t.Fatalf("snapshot scan saw %d rows, want 20", n)
+		t.Fatalf("scan to end saw %d rows, want 20", n)
 	}
-	// A fresh scan sees everything.
+	// Before steps the live head back to the newest record below end.
+	at, err := s.Before(head, end)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, payload, err := s.Read(at); err != nil || payload[0] != 1 {
+		t.Fatalf("Before(head, end) = %v, %v; want the 20th row", at, err)
+	}
+	if p, err := s.Before(head, Nil); err != nil || p != Nil {
+		t.Fatalf("Before(head, Nil) = %v, %v; want Nil", p, err)
+	}
+	// A fresh end sees everything.
 	total := 0
-	if err := s.Scan(nil, func(Ptr, []byte) bool { total++; return true }); err != nil {
+	if err := s.Scan(s.End(), func(Ptr, []byte) bool { total++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if total != 50 {
 		t.Fatalf("full scan saw %d rows, want 50", total)
+	}
+}
+
+// TestEndOfFullBatchOrders pins the bound of a batch filled to the last
+// addressable byte: its end carries into the next batch's field and still
+// orders after every record of the full batch and before the next batch's.
+func TestEndOfFullBatchOrders(t *testing.T) {
+	last, err := MakePtr(3, MaxBatchBytes-1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := MakePtr(4, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := endPtr(3, MaxBatchBytes)
+	if !(last < end && end < next) {
+		t.Fatalf("end %v does not separate %v from %v", end, last, next)
 	}
 }
 
@@ -253,9 +293,8 @@ func TestConcurrentReadersDuringAppends(t *testing.T) {
 			defer wg.Done()
 			last := 0
 			for j := 0; j < 200; j++ {
-				marks := s.Watermarks()
 				n := 0
-				err := s.Scan(marks, func(_ Ptr, payload []byte) bool {
+				err := s.Scan(s.End(), func(_ Ptr, payload []byte) bool {
 					if len(payload) != 2 {
 						t.Error("torn record observed")
 						return false
@@ -302,7 +341,7 @@ func TestConcurrentAppenders(t *testing.T) {
 		t.Fatalf("NumRows = %d, want %d", s.NumRows(), writers*each)
 	}
 	counts := map[byte]int{}
-	if err := s.Scan(nil, func(_ Ptr, payload []byte) bool {
+	if err := s.Scan(s.End(), func(_ Ptr, payload []byte) bool {
 		counts[payload[0]]++
 		return true
 	}); err != nil {

@@ -31,7 +31,7 @@ type directory struct {
 
 // Set is a growable set of row batches. One writer at a time may append
 // (Append takes an internal lock); any number of readers may concurrently
-// Read, Scan or snapshot watermarks.
+// Read, Chain, or Scan up to an End position.
 type Set struct {
 	mu        sync.Mutex
 	batchSize int
@@ -70,17 +70,26 @@ func (s *Set) MemoryUsage() int64 {
 // DataBytes returns the bytes of payload (plus headers) actually written.
 func (s *Set) DataBytes() int64 { return s.bytes.Load() }
 
+// Check reports why a payload of n bytes cannot be appended, or nil when
+// it can: callers that must apply a batch whole check every row first.
+func (s *Set) Check(n int) error {
+	if n > MaxRowSize {
+		return fmt.Errorf("rowbatch: row of %d bytes exceeds max %d", n, MaxRowSize)
+	}
+	if rec := recordHeader + n; rec > s.batchSize {
+		return fmt.Errorf("rowbatch: record of %d bytes exceeds batch size %d", rec, s.batchSize)
+	}
+	return nil
+}
+
 // Append writes one row payload with its backward pointer and returns the
 // packed pointer to the new record. Safe for concurrent use; appends are
 // serialized internally.
 func (s *Set) Append(prev Ptr, payload []byte) (Ptr, error) {
-	if len(payload) > MaxRowSize {
-		return Nil, fmt.Errorf("rowbatch: row of %d bytes exceeds max %d", len(payload), MaxRowSize)
+	if err := s.Check(len(payload)); err != nil {
+		return Nil, err
 	}
 	rec := recordHeader + len(payload)
-	if rec > s.batchSize {
-		return Nil, fmt.Errorf("rowbatch: record of %d bytes exceeds batch size %d", rec, s.batchSize)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
@@ -156,36 +165,39 @@ func (s *Set) Chain(p Ptr, fn func(ptr Ptr, payload []byte) bool) error {
 	return nil
 }
 
-// Watermarks captures the current per-batch used counts; together with the
-// batch directory this identifies a consistent prefix of the data — the
-// multi-version read view a query pins.
-func (s *Set) Watermarks() []int64 {
-	d := s.dir.Load()
-	marks := make([]int64, len(d.batches))
-	// Read watermarks in order; each batch's mark is monotonic so the view
-	// is a consistent prefix of the append order as long as the last
-	// batch's mark is read after the directory load (it is).
-	for i, b := range d.batches {
-		marks[i] = b.used.Load()
-	}
-	return marks
-}
-
-// Scan iterates every record in the prefix identified by marks (as returned
-// by Watermarks; pass nil for "everything now"), in append order, invoking
-// fn with the record's packed pointer and payload until fn returns false.
-func (s *Set) Scan(marks []int64, fn func(ptr Ptr, payload []byte) bool) error {
+// End returns the set's end position: every record appended so far packs
+// to a Ptr below it and every later record to one at or above it, so it
+// names the multi-version read view of a consistent prefix. Call it from
+// the appending goroutine (or with appends quiesced) to cover every record.
+func (s *Set) End() Ptr {
 	d := s.dir.Load()
 	n := len(d.batches)
-	if marks != nil && len(marks) < n {
-		n = len(marks)
+	if n == 0 {
+		return Nil
 	}
-	for bi := 0; bi < n; bi++ {
-		b := d.batches[bi]
-		limit := b.used.Load()
-		if marks != nil && marks[bi] < limit {
-			limit = marks[bi]
+	return endPtr(n-1, int(d.batches[n-1].used.Load()))
+}
+
+// Before steps back along p's chain to its newest record below end, or Nil
+// when the whole chain lies at or above it: the head a reader at end sees.
+func (s *Set) Before(p, end Ptr) (Ptr, error) {
+	for !p.IsNil() && p >= end {
+		prev, _, err := s.Read(p)
+		if err != nil {
+			return Nil, err
 		}
+		p = prev
+	}
+	return p, nil
+}
+
+// Scan iterates every record below end (as returned by End), in append
+// order, invoking fn with the record's packed pointer and payload until fn
+// returns false.
+func (s *Set) Scan(end Ptr, fn func(ptr Ptr, payload []byte) bool) error {
+	d := s.dir.Load()
+	for bi, b := range d.batches {
+		limit := b.used.Load()
 		off := 0
 		for int64(off) < limit {
 			sz := int(binary.LittleEndian.Uint32(b.buf[off+8:]))
@@ -193,7 +205,7 @@ func (s *Set) Scan(marks []int64, fn func(ptr Ptr, payload []byte) bool) error {
 			if err != nil {
 				return err
 			}
-			if !fn(p, b.buf[off+recordHeader:off+recordHeader+sz]) {
+			if p >= end || !fn(p, b.buf[off+recordHeader:off+recordHeader+sz]) {
 				return nil
 			}
 			off += recordHeader + sz

@@ -3,6 +3,8 @@ package sqltypes
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
+	"unicode/utf8"
 )
 
 // Field describes a single column: its name, type and nullability.
@@ -24,6 +26,10 @@ func (f Field) String() string {
 // once built; derive new ones with Project/Concat.
 type Schema struct {
 	Fields []Field
+	// lookups counts IndexOf calls until names is built.
+	lookups atomic.Int32
+	// names resolves IndexOf once the schema has seen scanLookups lookups.
+	names atomic.Pointer[nameIndex]
 }
 
 // NewSchema builds a schema from fields.
@@ -45,15 +51,102 @@ func (s *Schema) String() string {
 
 // IndexOf returns the ordinal of the column with the given name
 // (case-insensitive), or -1 when absent. Names may be qualified as
-// "table.col"; an unqualified lookup matches the suffix.
+// "table.col"; an unqualified lookup matches the suffix. An exact match
+// wins (the first, if several differ only in case); an unqualified name
+// that several fields carry as their suffix is ambiguous (-1).
 func (s *Schema) IndexOf(name string) int {
-	// Exact (case-insensitive) match first.
+	ix := s.names.Load()
+	if ix == nil {
+		if s.lookups.Add(1) <= scanLookups {
+			return s.scanIndexOf(name)
+		}
+		ix = newNameIndex(s.Fields)
+		s.names.Store(ix)
+	}
+	var buf [64]byte
+	key, ascii := foldASCII(buf[:0], name)
+	if ix.byName == nil || !ascii {
+		return s.scanIndexOf(name)
+	}
+	if i, ok := ix.byName[string(key)]; ok {
+		return i
+	}
+	return -1
+}
+
+// scanLookups is how many lookups a schema answers by scan before it
+// builds its name map. Most schemas are made for one compile and see a
+// handful of lookups. For a ten-field schema a build costs about eleven
+// scans and saves about three quarters of every later one.
+const scanLookups = 16
+
+// nameIndex maps every name IndexOf can resolve, folded to lower case, to
+// its answer. byName is nil when a field name is not ASCII: case folding
+// beyond ASCII is left to scanIndexOf.
+type nameIndex struct {
+	byName map[string]int
+}
+
+func newNameIndex(fields []Field) *nameIndex {
+	var buf []byte
+	for _, f := range fields {
+		var ascii bool
+		if buf, ascii = foldASCII(buf, f.Name); !ascii {
+			return &nameIndex{}
+		}
+	}
+	all := string(buf)
+	folded := make([]string, len(fields))
+	for i, f := range fields {
+		folded[i], all = all[:len(f.Name)], all[len(f.Name):]
+	}
+	byName := make(map[string]int, 2*len(fields))
+	for i, k := range folded {
+		if _, dup := byName[k]; !dup {
+			byName[k] = i
+		}
+	}
+	for i, k := range folded {
+		dot := strings.LastIndexByte(k, '.')
+		if dot < 0 {
+			continue
+		}
+		suffix := k[dot+1:]
+		switch j, seen := byName[suffix]; {
+		case !seen:
+			byName[suffix] = i
+		case j >= 0 && folded[j] == suffix:
+			// A field named exactly the suffix wins.
+		default:
+			byName[suffix] = -1 // a second field carries it
+		}
+	}
+	return &nameIndex{byName: byName}
+}
+
+// foldASCII appends name lower-cased to dst; ascii is false (and the
+// result unusable) when name holds a non-ASCII byte.
+func foldASCII(dst []byte, name string) (folded []byte, ascii bool) {
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if c >= utf8.RuneSelf {
+			return dst, false
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		dst = append(dst, c)
+	}
+	return dst, true
+}
+
+// scanIndexOf is IndexOf by linear scan, with full Unicode case folding.
+func (s *Schema) scanIndexOf(name string) int {
 	for i, f := range s.Fields {
 		if strings.EqualFold(f.Name, name) {
 			return i
 		}
 	}
-	// Unqualified name matching a qualified field, e.g. "id" vs "person.id".
 	if !strings.Contains(name, ".") {
 		found := -1
 		for i, f := range s.Fields {

@@ -2,6 +2,7 @@ package sqltypes
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -358,6 +359,73 @@ func TestSchemaIndexOfAndQualify(t *testing.T) {
 	amb := NewSchema(Field{Name: "a.id", Type: Int64}, Field{Name: "b.id", Type: Int64})
 	if i := amb.IndexOf("id"); i != -1 {
 		t.Errorf("ambiguous IndexOf(id) = %d, want -1", i)
+	}
+}
+
+// TestSchemaIndexOfRules pins IndexOf's three rules: an exact
+// (case-insensitive) match first, the first of several; then the
+// unqualified-suffix match; -1 when that suffix is ambiguous.
+func TestSchemaIndexOfRules(t *testing.T) {
+	fields := func(names ...string) *Schema {
+		fs := make([]Field, len(names))
+		for i, n := range names {
+			fs[i] = Field{Name: n, Type: Int64}
+		}
+		return NewSchema(fs...)
+	}
+	cases := []struct {
+		name   string
+		schema *Schema
+		lookup string
+		want   int
+	}{
+		{"exact", fields("a", "b"), "b", 1},
+		{"exact folds case", fields("a", "personId"), "PERSONID", 1},
+		{"exact takes the first of a case clash", fields("ID", "id"), "id", 0},
+		{"exact qualified", fields("p.id", "q.id"), "Q.ID", 1},
+		{"exact beats suffix", fields("t.id", "id"), "id", 1},
+		{"exact beats an ambiguous suffix", fields("t.id", "u.id", "ID"), "id", 2},
+		{"suffix", fields("person.id", "person.name"), "Name", 1},
+		{"suffix after the last dot", fields("db.t.col", "x"), "col", 0},
+		{"suffix ambiguous", fields("a.id", "b.id"), "id", -1},
+		{"suffix ambiguous across case", fields("a.ID", "b.id"), "Id", -1},
+		{"no suffix match for a qualified name", fields("a.id"), "b.id", -1},
+		{"qualified name is not a suffix", fields("t.a.id"), "a.id", -1},
+		{"missing", fields("a", "b"), "c", -1},
+		{"non-ASCII lookup folds by Unicode", fields("k", "x"), "\u212a", 0},
+		{"non-ASCII field", fields("t.straße", "t.id"), "STRASSE", -1},
+		{"non-ASCII field exact", fields("t.straße", "t.id"), "T.STRAßE", 0},
+	}
+	for _, c := range cases {
+		// The first scanLookups lookups scan; later ones use the name map.
+		for n := 0; n <= scanLookups; n++ {
+			if got := c.schema.IndexOf(c.lookup); got != c.want {
+				t.Fatalf("%s: lookup %d: IndexOf(%q) in %v = %d, want %d", c.name, n, c.lookup, c.schema.ShortNames(), got, c.want)
+			}
+		}
+		if c.schema.names.Load() == nil {
+			t.Fatalf("%s: no name map after %d lookups", c.name, scanLookups+1)
+		}
+	}
+}
+
+// TestSchemaIndexOfMatchesScan: the folded-name map answers exactly as a
+// linear scan over random schemas drawn from a small, clashing vocabulary.
+func TestSchemaIndexOfMatchesScan(t *testing.T) {
+	vocab := []string{"id", "ID", "a.id", "b.Id", "name", "a.name", "x.y.name", "v", "b.v", ""}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		fs := make([]Field, rng.Intn(6))
+		for i := range fs {
+			fs[i] = Field{Name: vocab[rng.Intn(len(vocab))], Type: Int64}
+		}
+		s := NewSchema(fs...)
+		s.names.Store(newNameIndex(fs))
+		for _, name := range append(vocab, "missing", "c.id", "NAME") {
+			if got, want := s.IndexOf(name), s.scanIndexOf(name); got != want {
+				t.Fatalf("IndexOf(%q) in %v = %d, scan says %d", name, s, got, want)
+			}
+		}
 	}
 }
 

@@ -352,12 +352,22 @@ func TestViewLogGapForcesRecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Both rows route to key 1's partition; the second fails to encode
-	// after the first landed, which breaks that partition's change log.
+	// A batch whose second row fails to encode publishes nothing and
+	// leaves the change log whole: the view folds on without a rebuild.
 	bad := sqltypes.Row{i64(1), i64(1), sqltypes.NewString("boom")}
 	if err := base.Append([]sqltypes.Row{row(1, 1, i64(50)), bad}); err == nil {
 		t.Fatal("expected encode failure")
 	}
+	checkAgainstOracle(t, v, base, nil)
+	if n := v.Stats().FullRecomputes; n != 1 {
+		t.Fatalf("full recomputes = %d after a failed batch, want the initial build only", n)
+	}
+	// Rows that land while capture is off break the log.
+	base.DisableChangeCapture()
+	if err := base.Append([]sqltypes.Row{row(2, 2, i64(60))}); err != nil {
+		t.Fatal(err)
+	}
+	base.EnableChangeCapture()
 	checkAgainstOracle(t, v, base, nil)
 	if v.Stats().FullRecomputes < 2 {
 		t.Fatalf("full recomputes = %d, a log gap must force a rebuild", v.Stats().FullRecomputes)
@@ -457,5 +467,38 @@ func TestViewRowsSorted(t *testing.T) {
 	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 	if fmt.Sprint(got) != "[0 1 2 3 4 5]" {
 		t.Fatalf("groups = %v", got)
+	}
+}
+
+// TestEnableCaptureDuringAppends builds views while a writer appends, so
+// change capture switches on between (never inside) batches; each view,
+// refreshed after the writer stops, must equal a recompute.
+func TestEnableCaptureDuringAppends(t *testing.T) {
+	for round := 0; round < 10; round++ {
+		base := newBase(t)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := int64(0); i < 200; i++ {
+				rows := make([]sqltypes.Row, 8)
+				for j := range rows {
+					k := i*8 + int64(j)
+					rows[j] = row(k, k%5, i64(k))
+				}
+				if err := base.Append(rows); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		v, err := New(testDef(base, nil), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := v.RefreshRows(); err != nil {
+			t.Fatal(err)
+		}
+		<-done
+		checkAgainstOracle(t, v, base, nil)
 	}
 }

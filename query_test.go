@@ -717,3 +717,54 @@ func TestDropTableDropsDependentViews(t *testing.T) {
 		t.Fatal("change capture still enabled after dropping the base table")
 	}
 }
+
+// TestQueriesNeverSeePartialBatch: every query reads whole append batches.
+// A writer appends 64-row batches, each tagged with its own b and spread
+// over 8 partitions, while 64 GROUP BY queries count rows per b; none may
+// see a batch with fewer than its 64 rows.
+func TestQueriesNeverSeePartialBatch(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	const batch = 64
+	s := NewSession(Config{TablePartitions: 8, Parallelism: 2})
+	schema := NewSchema(Field{Name: "a", Type: Int64}, Field{Name: "b", Type: Int64})
+	df, err := s.CreateIndexedTable("t", schema, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(done)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for b := int64(0); ; b++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			rows := make([]Row, batch)
+			for i := range rows {
+				rows[i] = Row{V(b*batch + int64(i)), V(b)}
+			}
+			if _, err := df.AppendRowsSlice(rows); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for q := 0; q < 64; q++ {
+		out, err := s.SQL("SELECT b, COUNT(*) FROM t GROUP BY b HAVING COUNT(*) <> 64")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := out.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 0 {
+			t.Fatalf("query %d saw partial batches: %v", q, rows)
+		}
+	}
+}

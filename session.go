@@ -228,10 +228,9 @@ func (s *Session) CreateIndexedTable(name string, schema *sqltypes.Schema, keyCo
 // AnalyzeTable recomputes a table's statistics from a full scan,
 // enabling collection for that table even when the NoStats ablation
 // turned automatic collection off (the planner still ignores the
-// result under that ablation). It heals the invalidation a partially
-// failed append causes: the rows that landed before the failure were
-// never observed, so incremental statistics stay invalid until the next
-// ANALYZE.
+// result under that ablation). Appends keep collected statistics
+// current on their own: a batch that fails publishes nothing, so there
+// is nothing for ANALYZE to heal.
 func (s *Session) AnalyzeTable(name string) error {
 	s.mu.RLock()
 	t, ok := s.tables[name]
