@@ -206,7 +206,8 @@ func TestAdaptiveFilterReordered(t *testing.T) {
 
 // TestAnalyzeTableStatement drives ANALYZE TABLE through SQL: it must
 // succeed on both table kinds and reject unknown tables; the statistics it
-// builds survive a failed cross-partition append unchanged.
+// builds survive a failed cross-partition append unchanged; under the
+// NoStats ablation it is what turns collection on.
 func TestAnalyzeTableStatement(t *testing.T) {
 	sess := indexeddf.NewSession(indexeddf.Config{})
 	schema := indexeddf.NewSchema(
@@ -290,6 +291,27 @@ func TestAnalyzeTableStatement(t *testing.T) {
 	}
 	if after[0].Count != n {
 		t.Fatalf("statistics count %d rows, Count() = %d", after[0].Count, n)
+	}
+
+	// With collection off, a table has no statistics until ANALYZE TABLE
+	// scans it.
+	off := indexeddf.NewAblatedSession(indexeddf.Config{}, opt.NoStats)
+	odf, err := off.CreateIndexedTable("indexed", schema, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := odf.AppendRowsSlice(rows); err != nil {
+		t.Fatal(err)
+	}
+	otbl, _ := off.LookupTable("indexed")
+	if cs := otbl.(stats.Provider).ColumnStats(); cs != nil {
+		t.Fatalf("NoStats table has statistics before ANALYZE: %+v", *cs[0])
+	}
+	if _, err := off.SQL("ANALYZE TABLE indexed"); err != nil {
+		t.Fatal(err)
+	}
+	if cs := otbl.(stats.Provider).ColumnStats(); cs == nil || cs[0].Count != 100 {
+		t.Fatalf("ANALYZE TABLE under NoStats: statistics %v, want Count 100", cs)
 	}
 
 	if _, err := sess.SQL("ANALYZE TABLE missing"); err == nil {

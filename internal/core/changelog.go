@@ -99,10 +99,11 @@ func (t *IndexedTable) marks() []int64 {
 
 // logBatch records a staged batch as one change per partition it touches
 // and returns the change marks after it. Caller holds mu.
-func (t *IndexedTable) logBatch(rows []sqltypes.Row, recs []record) []int64 {
+func (t *IndexedTable) logBatch(rows []sqltypes.Row) []int64 {
 	perPart := make([][]sqltypes.Row, len(t.parts))
-	for i, r := range recs {
-		perPart[r.part] = append(perPart[r.part], rows[i].Clone())
+	for _, row := range rows {
+		p := t.partOf(NormalizeKey(row[t.keyCol]))
+		perPart[p] = append(perPart[p], row.Clone())
 	}
 	t.logMu.Lock()
 	defer t.logMu.Unlock()

@@ -367,6 +367,32 @@ func TestQuickAppendLookup(t *testing.T) {
 	}
 }
 
+// TestAppendChecksEveryRowFirst: whatever makes a row unstorable — its
+// arity, a value its column cannot take, a record larger than a batch —
+// fails the batch before any row of it, the good ones included, lands.
+func TestAppendChecksEveryRowFirst(t *testing.T) {
+	bad := map[string]sqltypes.Row{
+		"arity":     {sqltypes.NewInt64(2), sqltypes.NewString("b")},
+		"type":      {sqltypes.NewInt64(2), sqltypes.NewString("b"), sqltypes.NewString("not a number")},
+		"oversized": mkRow(2, strings.Repeat("x", 4096), 2),
+	}
+	for name, row := range bad {
+		tbl := newTable(t, 4)
+		if err := tbl.Append([]sqltypes.Row{mkRow(1, "a", 1), row}); err == nil {
+			t.Fatalf("%s: the batch was accepted", name)
+		}
+		if tbl.RowCount() != 0 || tbl.Version() != 0 || tbl.DistinctKeys() != 0 {
+			t.Fatalf("%s: failed batch left %d rows, version %d, %d keys", name, tbl.RowCount(), tbl.Version(), tbl.DistinctKeys())
+		}
+		if rows, err := tbl.Snapshot().GetRows(sqltypes.NewInt64(1)); err != nil || len(rows) != 0 {
+			t.Fatalf("%s: the good row is visible: %v, %v", name, rows, err)
+		}
+		if err := tbl.Append([]sqltypes.Row{mkRow(1, "a", 1)}); err != nil {
+			t.Fatalf("%s: table refuses appends after a failed batch: %v", name, err)
+		}
+	}
+}
+
 // TestScanWalksEveryVersionInAppendOrder pins the single scan path: a scan
 // is the append-order walk up to the snapshot's end positions, so it
 // yields every version of every key, overwrites included.

@@ -7,13 +7,14 @@
 // every row ever appended stays visible to later snapshots.
 //
 // Multi-version concurrency rests on one commit point per table. Append
-// validates and encodes a batch, then, as the one writer holding the
-// table's writer mutex, stages its rows behind the live chain heads and
-// publishes an immutable Snapshot — sequence number, per-partition end positions and
-// change marks, row count — with one atomic store. Taking a snapshot is
-// one atomic load. Readers read the live Ctrie and row batches and ignore
-// every record at or above the snapshot's end positions, so they see whole
-// batches only and never wait for the writer.
+// checks every row of a batch, then, as the one writer holding the
+// table's writer mutex, encodes and stages its rows behind the live chain
+// heads and publishes an immutable Snapshot — sequence number,
+// per-partition end positions and change marks, row count — with one
+// atomic store. Taking a snapshot is one atomic load. Readers read the
+// live Ctrie and row batches and ignore every record at or above the
+// snapshot's end positions, so they see whole batches only and never wait
+// for the writer.
 package core
 
 import (
@@ -69,6 +70,8 @@ type IndexedTable struct {
 	// broken, once set, is why the table takes no more appends (guarded
 	// by mu).
 	broken error
+	// enc is the writer's reused encoding buffer (guarded by mu).
+	enc []byte
 	// logMu guards every partition's change log.
 	logMu sync.Mutex
 	// published is the commit point: the last batch's immutable Snapshot.
@@ -168,30 +171,21 @@ func (t *IndexedTable) partOf(key sqltypes.Value) int {
 	return int(key.Hash64() % uint64(len(t.parts)))
 }
 
-// record is one validated row of an append batch: its normalized key, its
-// partition and the end of its encoding in the batch's buffer.
-type record struct {
-	key  sqltypes.Value
-	part int
-	end  int
-}
-
 // Append adds rows as one batch — the fine-grained and batch update entry
 // point: a one-row slice is a low-latency point insert, large slices
-// amortize. Every row is validated and encoded before storage is touched,
-// so a batch that fails publishes nothing; one that succeeds becomes
-// visible to later snapshots all at once. Safe for concurrent use: appends
-// serialize on the writer mutex, readers never wait for them.
+// amortize. Every row is checked before storage is touched, so a batch
+// that fails publishes nothing; one that succeeds becomes visible to later
+// snapshots all at once. Safe for concurrent use: appends serialize on the
+// writer mutex, readers never wait for them.
 func (t *IndexedTable) Append(rows []sqltypes.Row) error {
 	if len(rows) == 0 {
 		return nil
 	}
-	recs, buf, err := t.encode(rows)
-	if err != nil {
+	if err := t.check(rows); err != nil {
 		return err
 	}
 	t.mu.Lock()
-	err = t.commit(rows, recs, buf)
+	err := t.commit(rows)
 	t.mu.Unlock()
 	if err != nil {
 		return err
@@ -200,73 +194,66 @@ func (t *IndexedTable) Append(rows []sqltypes.Row) error {
 	return nil
 }
 
-// encode validates and encodes rows into one buffer, routing each to its
-// partition.
-func (t *IndexedTable) encode(rows []sqltypes.Row) ([]record, []byte, error) {
-	size := 0
-	for _, row := range rows {
-		if len(row) != t.schema.Len() {
-			return nil, nil, fmt.Errorf("core: row arity %d does not match schema %s", len(row), t.schema)
-		}
-		size += t.codec.MaxEncodedSize(row)
-	}
-	recs := make([]record, len(rows))
-	buf := make([]byte, 0, size)
+// check reports why a row of the batch cannot be stored — wrong arity, a
+// value of the wrong type, an oversized encoding — so commit cannot fail
+// on one.
+func (t *IndexedTable) check(rows []sqltypes.Row) error {
 	for i, row := range rows {
-		start := len(buf)
-		var err error
-		if buf, err = t.codec.Encode(buf, row); err != nil {
-			return nil, nil, fmt.Errorf("core: row %d: %v", i, err)
+		n, err := t.codec.EncodedSize(row)
+		if err == nil {
+			// Every partition's Set has the same batch size.
+			err = t.parts[0].batches.Check(n)
 		}
-		// Every partition's Set has the same batch size.
-		if err := t.parts[0].batches.Check(len(buf) - start); err != nil {
-			return nil, nil, fmt.Errorf("core: row %d: %v", i, err)
+		if err != nil {
+			return fmt.Errorf("core: row %d: %v", i, err)
 		}
-		key := NormalizeKey(row[t.keyCol])
-		recs[i] = record{key: key, part: t.partOf(key), end: len(buf)}
 	}
-	return recs, buf, nil
+	return nil
 }
 
-// commit stages an encoded batch and publishes it; the caller holds mu.
-// Staging writes each record behind its key's live chain head and swaps
-// the head in the live Ctrie; readers of the published snapshot step back
-// past the staged records, which lie at or above its end positions. The
-// single atomic store of the next snapshot is the batch's commit point.
-func (t *IndexedTable) commit(rows []sqltypes.Row, recs []record, buf []byte) error {
+// commit stages a checked batch and publishes it; the caller holds mu.
+// Staging encodes each row behind its key's live chain head and swaps the
+// head in the live Ctrie; readers of the published snapshot step back past
+// the staged records, which lie at or above its end positions. The single
+// atomic store of the next snapshot is the batch's commit point.
+func (t *IndexedTable) commit(rows []sqltypes.Row) error {
 	if t.broken != nil {
 		return t.broken
 	}
 	prev := t.published.Load()
-	start := 0
-	for _, r := range recs {
-		part := t.parts[r.part]
-		head, had := part.index.Lookup(r.key)
-		ptr, err := part.batches.Append(head, buf[start:r.end])
+	for _, row := range rows {
+		key := NormalizeKey(row[t.keyCol])
+		p := t.partOf(key)
+		part := t.parts[p]
+		head, had := part.index.Lookup(key)
+		var ptr rowbatch.Ptr
+		var err error
+		if t.enc, err = t.codec.Encode(t.enc[:0], row); err == nil {
+			ptr, err = part.batches.Append(head, t.enc)
+		}
 		if err != nil {
 			// Only a partition out of batch address space gets here (rows
 			// were checked): the staged prefix is unpublished, and later
 			// batches would publish it, so the table stops taking appends.
-			t.broken = fmt.Errorf("core: partition %d: %v; table closed to appends", r.part, err)
+			t.broken = fmt.Errorf("core: partition %d: %v; table closed to appends", p, err)
 			return t.broken
 		}
-		part.index.Insert(r.key, ptr)
+		part.index.Insert(key, ptr)
 		if !had {
 			part.keys.Add(1)
 		}
-		start = r.end
 	}
 	next := &Snapshot{
 		table:   t,
 		version: prev.version + 1,
-		rows:    prev.rows + int64(len(recs)),
+		rows:    prev.rows + int64(len(rows)),
 		ends:    make([]rowbatch.Ptr, len(t.parts)),
 	}
 	for p, part := range t.parts {
 		next.ends[p] = part.batches.End()
 	}
 	if prev.capturing() {
-		next.marks = t.logBatch(rows, recs)
+		next.marks = t.logBatch(rows)
 	}
 	t.published.Store(next)
 	return nil

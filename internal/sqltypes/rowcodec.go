@@ -54,6 +54,41 @@ func (c *RowCodec) MaxEncodedSize(row Row) int {
 	return n
 }
 
+// EncodedSize returns the exact length Encode gives row, or the error
+// Encode would return for it, without encoding.
+func (c *RowCodec) EncodedSize(row Row) (int, error) {
+	if len(row) != c.schema.Len() {
+		return 0, fmt.Errorf("sqltypes: row arity %d does not match schema arity %d",
+			len(row), c.schema.Len())
+	}
+	n := c.fixedBytes
+	for i, f := range c.schema.Fields {
+		v := row[i]
+		if v.IsNull() {
+			continue
+		}
+		if v.T != f.Type {
+			var err error
+			if v, err = castTo(f, v); err != nil {
+				return 0, err
+			}
+		}
+		if f.Type == String {
+			n += len(v.S)
+		}
+	}
+	return n, nil
+}
+
+// castTo casts a value to the type of the column f it is stored in.
+func castTo(f Field, v Value) (Value, error) {
+	cast, err := v.Cast(f.Type)
+	if err != nil {
+		return v, fmt.Errorf("sqltypes: column %q: %v", f.Name, err)
+	}
+	return cast, nil
+}
+
 // Encode appends the binary encoding of row to dst and returns the extended
 // slice. The row must match the codec's schema (same arity; values either
 // NULL or of the column type).
@@ -78,11 +113,10 @@ func (c *RowCodec) Encode(dst []byte, row Row) ([]byte, error) {
 			continue
 		}
 		if v.T != f.Type {
-			cast, err := v.Cast(f.Type)
-			if err != nil {
-				return dst, fmt.Errorf("sqltypes: column %q: %v", f.Name, err)
+			var err error
+			if v, err = castTo(f, v); err != nil {
+				return dst, err
 			}
-			v = cast
 		}
 		off := c.fixedOff[i]
 		switch f.Type {

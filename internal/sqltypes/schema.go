@@ -76,8 +76,8 @@ func (s *Schema) IndexOf(name string) int {
 
 // scanLookups is how many lookups a schema answers by scan before it
 // builds its name map. Most schemas are made for one compile and see a
-// handful of lookups. For a ten-field schema a build costs about eleven
-// scans and saves about three quarters of every later one.
+// handful of lookups; the few that outlive a compile see most lookups
+// and get the map.
 const scanLookups = 16
 
 // nameIndex maps every name IndexOf can resolve, folded to lower case, to
@@ -88,17 +88,13 @@ type nameIndex struct {
 }
 
 func newNameIndex(fields []Field) *nameIndex {
-	var buf []byte
-	for _, f := range fields {
-		var ascii bool
-		if buf, ascii = foldASCII(buf, f.Name); !ascii {
-			return &nameIndex{}
-		}
-	}
-	all := string(buf)
 	folded := make([]string, len(fields))
 	for i, f := range fields {
-		folded[i], all = all[:len(f.Name)], all[len(f.Name):]
+		k, ascii := foldASCII(nil, f.Name)
+		if !ascii {
+			return &nameIndex{}
+		}
+		folded[i] = string(k)
 	}
 	byName := make(map[string]int, 2*len(fields))
 	for i, k := range folded {

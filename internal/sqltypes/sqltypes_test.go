@@ -270,6 +270,30 @@ func TestRowCodecArityMismatch(t *testing.T) {
 	}
 }
 
+// TestRowCodecEncodedSize: EncodedSize is Encode's exact length, also when
+// a value is cast to a STRING column, and fails exactly where Encode does.
+func TestRowCodecEncodedSize(t *testing.T) {
+	c := NewRowCodec(NewSchema(Field{Name: "a", Type: Int64}, Field{Name: "s", Type: String}))
+	rows := []Row{
+		{NewInt64(1), NewString("hello")},
+		{Null, Null},
+		{NewInt32(5), NewInt64(123456)},
+		{NewString("42"), NewString("")},
+		{NewString("x"), NewString("bad int")},
+		{NewInt64(1)},
+	}
+	for _, r := range rows {
+		buf, encErr := c.Encode(nil, r)
+		n, err := c.EncodedSize(r)
+		if (err != nil) != (encErr != nil) {
+			t.Fatalf("%v: EncodedSize error %v, Encode error %v", r, err, encErr)
+		}
+		if err == nil && n != len(buf) {
+			t.Errorf("%v: EncodedSize %d, Encode wrote %d bytes", r, n, len(buf))
+		}
+	}
+}
+
 func TestRowCodecImplicitCastOnEncode(t *testing.T) {
 	c := NewRowCodec(NewSchema(Field{Name: "a", Type: Int64}))
 	buf, err := c.Encode(nil, Row{NewInt32(5)})
