@@ -25,15 +25,13 @@ type MaterializedView interface {
 	BaseName() string
 	// Definition returns the view's defining SELECT text.
 	Definition() string
-	// RefreshedVersion returns the base-table version the state reflects.
+	// RefreshedVersion returns the version of the base snapshot the state
+	// reflects.
 	RefreshedVersion() int64
-	// ChangeCursors returns the per-partition change-log sequence numbers
-	// the view has folded up to (log pruning uses the minimum across
-	// views).
-	ChangeCursors() []int64
 
-	// Refresh folds the base table's delta since the last refresh into the
-	// view state (or fully recomputes when the change log has a gap).
+	// Refresh folds the rows appended to the base table since that
+	// snapshot into the view state, read straight from the table's row
+	// batches (or fully recomputes after a refresh that failed partway).
 	Refresh() error
 	// Recompute rebuilds the state from a fresh base snapshot.
 	Recompute() error
@@ -115,34 +113,4 @@ func (r *ViewRegistry) ForBase(base *core.IndexedTable) []MaterializedView {
 		}
 	}
 	return out
-}
-
-// PruneBaseLog discards base's change records that every registered view
-// has already folded, bounding the log's memory. Called after refreshes.
-func (r *ViewRegistry) PruneBaseLog(base *core.IndexedTable) {
-	views := r.ForBase(base)
-	if len(views) == 0 {
-		return
-	}
-	n := base.NumPartitions()
-	min := make([]int64, n)
-	for i := range min {
-		min[i] = -1
-	}
-	for _, v := range views {
-		cursors := v.ChangeCursors()
-		if len(cursors) != n {
-			return // view mid-rebuild; skip this round
-		}
-		for p, c := range cursors {
-			if min[p] < 0 || c < min[p] {
-				min[p] = c
-			}
-		}
-	}
-	for p, seq := range min {
-		if seq > 0 {
-			base.PruneChanges(p, seq)
-		}
-	}
 }

@@ -615,3 +615,81 @@ func TestLookupAtSnapshotIgnoresLaterInserts(t *testing.T) {
 		t.Fatalf("a fresh snapshot finds %d rows for the last key, want 1", len(rows))
 	}
 }
+
+// TestFailedAppendPublishesNothing: a batch whose second row fails to
+// encode (wrong type for column 2) lands none of its rows — not in the
+// content, the version or the row count.
+func TestFailedAppendPublishesNothing(t *testing.T) {
+	tbl := newTable(t, 1)
+	if err := tbl.Append([]sqltypes.Row{mkRow(1, "a", 1)}); err != nil {
+		t.Fatal(err)
+	}
+	before := tbl.Snapshot()
+	bad := sqltypes.Row{sqltypes.NewInt64(2), sqltypes.NewString("b"), sqltypes.NewString("boom")}
+	if err := tbl.Append([]sqltypes.Row{mkRow(3, "c", 3), bad}); err == nil {
+		t.Fatal("expected encode failure")
+	}
+	after := tbl.Snapshot()
+	if after != before || tbl.RowCount() != 1 || tbl.Version() != before.Version() {
+		t.Fatalf("failed batch published: version %d -> %d, %d rows", before.Version(), tbl.Version(), tbl.RowCount())
+	}
+	if rows, err := after.GetRows(sqltypes.NewInt64(3)); err != nil || len(rows) != 0 {
+		t.Fatalf("the failed batch's good row is visible: %v, %v", rows, err)
+	}
+	// The next batch publishes only its own rows.
+	if err := tbl.Append([]sqltypes.Row{mkRow(4, "d", 4)}); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := tbl.Snapshot().PartitionRowCount(0); n != 2 {
+		t.Fatalf("after a good batch the partition holds %d rows, want 2", n)
+	}
+}
+
+// TestScanPartitionSinceReadsOnlyNewRows: the rows a snapshot holds beyond
+// an older one are exactly the batches appended in between, in append
+// order, across batch rollovers; a nil prev reads everything.
+func TestScanPartitionSinceReadsOnlyNewRows(t *testing.T) {
+	tbl := newTable(t, 1) // 4 KiB batches: 300 rows span several
+	var snaps []*Snapshot
+	for b := int64(0); b < 3; b++ {
+		snaps = append(snaps, tbl.Snapshot())
+		var rows []sqltypes.Row
+		for i := b * 100; i < (b+1)*100; i++ {
+			rows = append(rows, mkRow(i, "x", 0))
+		}
+		if err := tbl.Append(rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	last := tbl.Snapshot()
+	ids := func(prev *Snapshot) []int64 {
+		t.Helper()
+		var out []int64
+		if err := last.ScanPartitionSince(prev, 0, func(r sqltypes.Row) bool {
+			out = append(out, r[0].Int64Val())
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for b, prev := range snaps {
+		got := ids(prev)
+		if want := 300 - 100*b; len(got) != want || got[0] != int64(100*b) || got[len(got)-1] != 299 {
+			t.Fatalf("since batch %d: %d rows %v..., want %d from %d", b, len(got), got[:1], want, 100*b)
+		}
+	}
+	if got := ids(nil); len(got) != 300 || got[0] != 0 {
+		t.Fatalf("since nil: %d rows", len(got))
+	}
+	if got := ids(last); len(got) != 0 {
+		t.Fatalf("since itself: %d rows", len(got))
+	}
+	if err := snaps[1].ScanPartitionSince(last, 0, func(sqltypes.Row) bool { return true }); err == nil {
+		t.Fatal("a newer prev was accepted")
+	}
+	other := newTable(t, 1)
+	if err := last.ScanPartitionSince(other.Snapshot(), 0, func(sqltypes.Row) bool { return true }); err == nil {
+		t.Fatal("another table's snapshot was accepted")
+	}
+}

@@ -1,15 +1,17 @@
 package core
 
 import (
+	"fmt"
+
 	"indexeddf/internal/rowbatch"
 	"indexeddf/internal/sqltypes"
 )
 
 // Snapshot is a consistent multi-version read view of an IndexedTable:
 // one published append batch. It holds, per partition, the end position of
-// the published rows (and the change mark when capture was on); readers
-// read the live Ctrie and row batches and ignore every record at or above
-// the end, so appends that happen after the snapshot are invisible.
+// the published rows; readers read the live Ctrie and row batches and
+// ignore every record at or above the end, so appends that happen after
+// the snapshot are invisible.
 // Snapshots are immutable and shared by every reader of the same batch.
 type Snapshot struct {
 	table   *IndexedTable
@@ -18,27 +20,10 @@ type Snapshot struct {
 	// ends[p] bounds partition p's visible records: exactly those whose
 	// packed pointer orders below it (see rowbatch.Set.End).
 	ends []rowbatch.Ptr
-	// marks[p] is partition p's change-log sequence after the batch, or
-	// nil when capture was off: the visible content in p is exactly the
-	// log prefix below marks[p]. Incremental view refresh folds log
-	// records up to this mark and recomputes from this snapshot without
-	// double-counting in-flight appends.
-	marks []int64
 }
 
 // Snapshot returns the table's last published state: one atomic load.
 func (t *IndexedTable) Snapshot() *Snapshot { return t.published.Load() }
-
-func (s *Snapshot) capturing() bool { return s.marks != nil }
-
-// ChangeMark returns partition p's change-log sequence at snapshot time,
-// or -1 when change capture was off.
-func (s *Snapshot) ChangeMark(p int) int64 {
-	if s.marks == nil {
-		return -1
-	}
-	return s.marks[p]
-}
 
 // Version returns the sequence number of the batch the snapshot publishes.
 func (s *Snapshot) Version() int64 { return s.version }
@@ -122,18 +107,36 @@ func (s *Snapshot) ChainEachInto(p int, ptr rowbatch.Ptr, row sqltypes.Row, fn f
 // ScanPartition iterates partition p's rows within the snapshot in append
 // order, decoding full rows into a reused buffer.
 func (s *Snapshot) ScanPartition(p int, fn func(sqltypes.Row) bool) error {
-	return s.scanReused(p, nil, s.table.schema.Len(), fn)
+	return s.scanReused(rowbatch.Nil, p, nil, s.table.schema.Len(), fn)
+}
+
+// ScanPartitionSince iterates, like ScanPartition, only the rows of
+// partition p that s holds beyond prev, an older snapshot of the same
+// table (nil: every row). The table is append-only, so these are exactly
+// the rows appended between the two publishes; the scan starts at prev's
+// end position and reads nothing before it.
+func (s *Snapshot) ScanPartitionSince(prev *Snapshot, p int, fn func(sqltypes.Row) bool) error {
+	from := rowbatch.Nil
+	if prev != nil {
+		if prev.table != s.table || prev.version > s.version {
+			return fmt.Errorf("core: snapshot %d is not an older snapshot of this table", prev.version)
+		}
+		from = prev.ends[p]
+	}
+	return s.scanReused(from, p, nil, s.table.schema.Len(), fn)
 }
 
 // ScanPartitionColumns iterates partition p decoding only the requested
 // columns (the row-store projection path).
 func (s *Snapshot) ScanPartitionColumns(p int, cols []int, fn func(sqltypes.Row) bool) error {
-	return s.scanReused(p, cols, len(cols), fn)
+	return s.scanReused(rowbatch.Nil, p, cols, len(cols), fn)
 }
 
-func (s *Snapshot) scanReused(p int, cols []int, width int, fn func(sqltypes.Row) bool) error {
+// scanReused streams partition p's records in [from, the snapshot's end)
+// to fn, decoding the cols columns into one reused row.
+func (s *Snapshot) scanReused(from rowbatch.Ptr, p int, cols []int, width int, fn func(sqltypes.Row) bool) error {
 	row := make(sqltypes.Row, width)
-	return s.scanPayloads(p, func(payload []byte) (bool, error) {
+	return s.scanPayloads(from, p, func(payload []byte) (bool, error) {
 		if err := s.decode(payload, cols, row); err != nil {
 			return false, err
 		}
@@ -146,7 +149,7 @@ func (s *Snapshot) scanReused(p int, cols []int, width int, fn func(sqltypes.Row
 // keeps its rows decodes each payload once, into its final place. next
 // returns the row the following payload decodes into, or nil to stop.
 func (s *Snapshot) ScanPartitionInto(p int, cols []int, next func() sqltypes.Row) error {
-	return s.scanPayloads(p, func(payload []byte) (bool, error) {
+	return s.scanPayloads(rowbatch.Nil, p, func(payload []byte) (bool, error) {
 		row := next()
 		if row == nil {
 			return false, nil
@@ -171,11 +174,11 @@ func (s *Snapshot) decode(payload []byte, cols []int, row sqltypes.Row) error {
 	return nil
 }
 
-// scanPayloads walks partition p's row batches in append order up to the
-// snapshot's end position, streaming each row payload to fn.
-func (s *Snapshot) scanPayloads(p int, fn func(payload []byte) (bool, error)) error {
+// scanPayloads walks partition p's row batches in append order from from
+// up to the snapshot's end position, streaming each row payload to fn.
+func (s *Snapshot) scanPayloads(from rowbatch.Ptr, p int, fn func(payload []byte) (bool, error)) error {
 	var innerErr error
-	err := s.table.parts[p].batches.Scan(s.ends[p], func(_ rowbatch.Ptr, payload []byte) bool {
+	err := s.table.parts[p].batches.Scan(from, s.ends[p], func(_ rowbatch.Ptr, payload []byte) bool {
 		cont, err := fn(payload)
 		if err != nil {
 			innerErr = err
@@ -193,7 +196,7 @@ func (s *Snapshot) scanPayloads(p int, fn func(payload []byte) (bool, error)) er
 // decoding them — the vectorized scan's sizing pass.
 func (s *Snapshot) PartitionRowCount(p int) (int, error) {
 	n := 0
-	err := s.table.parts[p].batches.Scan(s.ends[p], func(rowbatch.Ptr, []byte) bool {
+	err := s.table.parts[p].batches.Scan(rowbatch.Nil, s.ends[p], func(rowbatch.Ptr, []byte) bool {
 		n++
 		return true
 	})

@@ -10,11 +10,17 @@
 // checks every row of a batch, then, as the one writer holding the
 // table's writer mutex, encodes and stages its rows behind the live chain
 // heads and publishes an immutable Snapshot — sequence number,
-// per-partition end positions and change marks, row count — with one
-// atomic store. Taking a snapshot is one atomic load. Readers read the
-// live Ctrie and row batches and ignore every record at or above the
-// snapshot's end positions, so they see whole batches only and never wait
-// for the writer.
+// per-partition end positions, row count — with one atomic store. Taking
+// a snapshot is one atomic load. Readers read the live Ctrie and row
+// batches and ignore every record at or above the snapshot's end
+// positions, so they see whole batches only and never wait for the
+// writer.
+//
+// Because nothing is ever deleted or rewritten, the rows one snapshot
+// holds beyond an older one are exactly the records between the two
+// snapshots' end positions in each partition: ScanPartitionSince reads
+// that range straight from the row batches, which is all incremental
+// view maintenance needs as its delta.
 package core
 
 import (
@@ -54,7 +60,6 @@ type Partition struct {
 	index   *ctrie.Ctrie[sqltypes.Value, rowbatch.Ptr]
 	batches *rowbatch.Set
 	keys    atomic.Int64 // distinct keys
-	log     partLog      // change records (guarded by the table's logMu)
 }
 
 // IndexedTable is the Indexed DataFrame's storage: a set of indexed
@@ -64,16 +69,14 @@ type IndexedTable struct {
 	keyCol int
 	codec  *sqltypes.RowCodec
 	parts  []*Partition
-	// mu is the writer mutex: it serializes Append and the change-capture
-	// switches, the only code that stages rows or publishes.
+	// mu is the writer mutex: it serializes Append, the only code that
+	// stages rows or publishes.
 	mu sync.Mutex
 	// broken, once set, is why the table takes no more appends (guarded
 	// by mu).
 	broken error
 	// enc is the writer's reused encoding buffer (guarded by mu).
 	enc []byte
-	// logMu guards every partition's change log.
-	logMu sync.Mutex
 	// published is the commit point: the last batch's immutable Snapshot.
 	// Readers load it and never wait for the writer.
 	published atomic.Pointer[Snapshot]
@@ -251,9 +254,6 @@ func (t *IndexedTable) commit(rows []sqltypes.Row) error {
 	}
 	for p, part := range t.parts {
 		next.ends[p] = part.batches.End()
-	}
-	if prev.capturing() {
-		next.marks = t.logBatch(rows)
 	}
 	t.published.Store(next)
 	return nil

@@ -34,8 +34,8 @@ const (
 	ShuffleFetch Point = "shuffle.fetch"
 	// BatchSeal fires when a columnar map task seals its scattered batches.
 	BatchSeal Point = "batch.seal"
-	// ViewRefresh fires inside a materialized view's refresh, after the
-	// delta is collected (so partial-application recovery is exercised).
+	// ViewRefresh fires inside a materialized view's refresh, just before
+	// the delta is folded (so recovery from a failed refresh is exercised).
 	ViewRefresh Point = "view.refresh"
 	// IngestAppend fires before a stream-ingest batch is appended.
 	IngestAppend Point = "ingest.append"

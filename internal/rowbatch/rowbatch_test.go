@@ -143,7 +143,7 @@ func TestScanAppendOrder(t *testing.T) {
 		}
 	}
 	var got []byte
-	if err := s.Scan(s.End(), func(_ Ptr, payload []byte) bool {
+	if err := s.Scan(Nil, s.End(), func(_ Ptr, payload []byte) bool {
 		got = append(got, payload[0])
 		return true
 	}); err != nil {
@@ -155,6 +155,68 @@ func TestScanAppendOrder(t *testing.T) {
 	for i, b := range got {
 		if int(b) != i {
 			t.Fatalf("scan order broken at %d: %d", i, b)
+		}
+	}
+}
+
+// TestScanRange scans [from, end) on a set whose 64-byte batches hold
+// three 20-byte records each. Every byte below from is zeroed first, so a
+// scan that walked the set from its start, instead of jumping to from,
+// would trip over a zero-size record; the records it yields are exactly
+// those in the range.
+func TestScanRange(t *testing.T) {
+	const n = 12
+	cases := []struct {
+		name string
+		from int // records appended before from was taken
+	}{
+		{"nil", 0},
+		{"mid-batch", 4},
+		{"full-batch-end", 6},
+		{"from-is-end", n},
+	}
+	for _, c := range cases {
+		s := NewSet(64)
+		ends := []Ptr{s.End()}
+		for i := 0; i < n; i++ {
+			if _, err := s.Append(Nil, []byte{byte(i), 0, 0, 0, 0, 0, 0, 0}); err != nil {
+				t.Fatal(err)
+			}
+			ends = append(ends, s.End())
+		}
+		from := ends[c.from]
+		switch c.name {
+		case "nil":
+			if from != Nil {
+				t.Fatalf("empty set's end = %v", from)
+			}
+		case "full-batch-end":
+			// Records 3-5 fill batch 1; record 6 opened batch 2.
+			if from.Batch() != 1 || from.Offset() != 60 || ends[c.from+1].Batch() != 2 {
+				t.Fatalf("from = %v, next end %v: batch 1 is not full", from, ends[c.from+1])
+			}
+		}
+		for bi, b := range s.dir.Load().batches {
+			if bi < from.Batch() {
+				clear(b.buf)
+			} else if bi == from.Batch() {
+				clear(b.buf[:max(from.Offset(), 0)])
+			}
+		}
+		var got []int
+		if err := s.Scan(from, ends[n], func(_ Ptr, payload []byte) bool {
+			got = append(got, int(payload[0]))
+			return true
+		}); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(got) != n-c.from {
+			t.Fatalf("%s: scan yielded %d records %v, want %d", c.name, len(got), got, n-c.from)
+		}
+		for i, id := range got {
+			if id != c.from+i {
+				t.Fatalf("%s: record %d is %d, want %d", c.name, i, id, c.from+i)
+			}
 		}
 	}
 }
@@ -184,7 +246,7 @@ func TestWatermarkSnapshotHidesLaterAppends(t *testing.T) {
 		head = p
 	}
 	n := 0
-	if err := s.Scan(end, func(p Ptr, payload []byte) bool {
+	if err := s.Scan(Nil, end, func(p Ptr, payload []byte) bool {
 		if payload[0] != 1 || p >= end {
 			t.Fatal("scan to an earlier end observed a later row")
 		}
@@ -209,7 +271,7 @@ func TestWatermarkSnapshotHidesLaterAppends(t *testing.T) {
 	}
 	// A fresh end sees everything.
 	total := 0
-	if err := s.Scan(s.End(), func(Ptr, []byte) bool { total++; return true }); err != nil {
+	if err := s.Scan(Nil, s.End(), func(Ptr, []byte) bool { total++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if total != 50 {
@@ -294,7 +356,7 @@ func TestConcurrentReadersDuringAppends(t *testing.T) {
 			last := 0
 			for j := 0; j < 200; j++ {
 				n := 0
-				err := s.Scan(s.End(), func(_ Ptr, payload []byte) bool {
+				err := s.Scan(Nil, s.End(), func(_ Ptr, payload []byte) bool {
 					if len(payload) != 2 {
 						t.Error("torn record observed")
 						return false
@@ -341,7 +403,7 @@ func TestConcurrentAppenders(t *testing.T) {
 		t.Fatalf("NumRows = %d, want %d", s.NumRows(), writers*each)
 	}
 	counts := map[byte]int{}
-	if err := s.Scan(s.End(), func(_ Ptr, payload []byte) bool {
+	if err := s.Scan(Nil, s.End(), func(_ Ptr, payload []byte) bool {
 		counts[payload[0]]++
 		return true
 	}); err != nil {

@@ -191,14 +191,19 @@ func (s *Set) Before(p, end Ptr) (Ptr, error) {
 	return p, nil
 }
 
-// Scan iterates every record below end (as returned by End), in append
-// order, invoking fn with the record's packed pointer and payload until fn
-// returns false.
-func (s *Set) Scan(end Ptr, fn func(ptr Ptr, payload []byte) bool) error {
+// Scan iterates the records in [from, end) — both positions as returned
+// by End, from Nil for the start — in append order, invoking fn with each
+// record's packed pointer and payload until fn returns false. It starts
+// at from's batch and offset, so a scan of a recent range costs that
+// range, not the whole set.
+func (s *Set) Scan(from, end Ptr, fn func(ptr Ptr, payload []byte) bool) error {
 	d := s.dir.Load()
-	for bi, b := range d.batches {
+	// A bound at a full batch's end names the next batch's start, so
+	// starting there and finding no record carries the scan over.
+	bi, off := from.Batch(), max(from.Offset(), 0)
+	for ; bi < len(d.batches); bi, off = bi+1, 0 {
+		b := d.batches[bi]
 		limit := b.used.Load()
-		off := 0
 		for int64(off) < limit {
 			sz := int(binary.LittleEndian.Uint32(b.buf[off+8:]))
 			p, err := MakePtr(bi, off, sz)

@@ -1,27 +1,25 @@
 // Package view implements incremental materialized views: a view is a
 // registered aggregate query (filter + GROUP BY + SUM/COUNT/MIN/MAX/AVG)
 // over an IndexedTable whose per-group accumulator state is maintained
-// from the table's change log instead of rescanned per query (the
-// DBToaster-style delta maintenance the paper's low-latency serving story
-// needs once the same aggregate shapes are issued over and over against a
-// mutating table).
+// from the rows appended since the last refresh instead of rescanned per
+// query (the DBToaster-style delta maintenance the paper's low-latency
+// serving story needs once the same aggregate shapes are issued over and
+// over against a mutating table).
 //
-// Consistency contract: a refresh pins one base snapshot and advances the
-// view to exactly that snapshot's per-partition change marks by folding
-// the logged appends. The base table only grows, so every aggregate's
-// delta is a fold of the appended rows: nothing is ever retracted, and a
-// group, once created, stays. Because the change log and the snapshot
-// content are pinned under the same partition locks (see internal/core), a
-// refresh can never double-count an in-flight append. When the log has a
-// gap (a failed append, pruning beyond the cursor), the view falls back to
-// a full recompute from the snapshot.
+// Consistency contract: a view's cursor is the base snapshot its state
+// reflects. A refresh loads the current snapshot and folds, per
+// partition, the records between the two snapshots' end positions,
+// decoded straight from the row batches. The base table only grows, so
+// that range is exactly the rows appended in between and every
+// aggregate's delta is a fold of them: nothing is ever retracted, and a
+// group, once created, stays. Snapshots hold whole published batches, so
+// a refresh can never double-count or miss an in-flight append.
 package view
 
 import (
 	"fmt"
 	"sync"
 
-	"indexeddf/internal/catalog"
 	"indexeddf/internal/core"
 	"indexeddf/internal/expr"
 	"indexeddf/internal/faultpoint"
@@ -32,17 +30,18 @@ import (
 // implements catalog.MaterializedView (and therefore catalog.Table).
 type View struct {
 	def Def
-	reg *catalog.ViewRegistry // for post-refresh log pruning; may be nil
 
-	mu      sync.Mutex
-	state   map[string]*group
-	order   []*group // insertion order
-	cursors []int64  // per-partition change-log sequence folded up to
-	version int64    // base-table version the state reflects
-	stats   Stats
+	mu    sync.Mutex
+	state map[string]*group
+	order []*group       // insertion order
+	snap  *core.Snapshot // base snapshot the state reflects
+	stats Stats
+	// keyVals and key are groupOf's scratch buffers.
+	keyVals sqltypes.Row
+	key     []byte
 	// needRecompute forces the next refresh to rebuild from a snapshot: a
 	// refresh that failed after it started mutating accumulator state left
-	// the state partially folded with unadvanced cursors, and retrying the
+	// the state partially folded with an unadvanced snap, and retrying the
 	// delta would double-fold it. The failed refresh surfaces its error to
 	// the caller; the view stays consistently answerable because the next
 	// access recomputes before serving.
@@ -54,9 +53,9 @@ type Stats struct {
 	// Refreshes is the number of Refresh calls that did any work.
 	Refreshes int64
 	// FullRecomputes counts state rebuilds from a snapshot (initial build,
-	// change-log gaps, explicit Recompute).
+	// recovery from a failed refresh, explicit Recompute).
 	FullRecomputes int64
-	// DeltaRows is the number of logged rows folded incrementally.
+	// DeltaRows is the number of appended rows folded incrementally.
 	DeltaRows int64
 }
 
@@ -76,17 +75,14 @@ type acc struct {
 	max   sqltypes.Value
 }
 
-// New builds an (empty) view over def and performs the initial
-// computation: it enables change capture on the base table FIRST and then
-// recomputes from a snapshot, so every later mutation is either in the
-// snapshot or in the log at a sequence past the snapshot's marks.
-func New(def Def, reg *catalog.ViewRegistry) (*View, error) {
+// New builds a view over def and performs the initial computation from
+// the base table's current snapshot.
+func New(def Def) (*View, error) {
 	if err := def.validate(); err != nil {
 		return nil, err
 	}
 	def.finish() // idempotent; covers defs built without DefFromPlan
-	v := &View{def: def, reg: reg}
-	def.Base.EnableChangeCapture()
+	v := &View{def: def}
 	if err := v.Recompute(); err != nil {
 		return nil, err
 	}
@@ -126,16 +122,7 @@ func (v *View) Definition() string { return v.def.SQL }
 func (v *View) RefreshedVersion() int64 {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.version
-}
-
-// ChangeCursors implements catalog.MaterializedView.
-func (v *View) ChangeCursors() []int64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	out := make([]int64, len(v.cursors))
-	copy(out, v.cursors)
-	return out
+	return v.snap.Version()
 }
 
 // StateSchema implements catalog.MaterializedView.
@@ -154,20 +141,11 @@ func (v *View) Stats() Stats {
 // ---------------------------------------------------------------------------
 // Maintenance
 
-// Refresh implements catalog.MaterializedView: fold the delta since the
-// last refresh, or fully recompute on a change-log gap.
+// Refresh implements catalog.MaterializedView: fold the rows appended
+// since the last refresh. The unlock is deferred so a panicking refresh
+// (a fold bug, an injected fault) cannot strand the lock and deadlock
+// every later query over the view.
 func (v *View) Refresh() error {
-	if err := v.refresh(); err != nil {
-		return err
-	}
-	v.prune()
-	return nil
-}
-
-// refresh runs refreshLocked under the state lock. The unlock is deferred
-// so a panicking refresh (a fold bug, an injected fault) cannot strand the
-// lock and deadlock every later query over the view.
-func (v *View) refresh() error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return v.refreshLocked()
@@ -182,80 +160,55 @@ func (v *View) Recompute() error {
 }
 
 func (v *View) refreshLocked() error {
-	// A panic anywhere in the refresh may have left accumulator state
-	// half-mutated: flag the recompute fallback before rethrowing.
-	defer func() {
-		if r := recover(); r != nil {
-			v.needRecompute = true
-			panic(r)
-		}
-	}()
-	base := v.def.Base
-	snap := base.Snapshot()
+	snap := v.def.Base.Snapshot()
 	if v.needRecompute {
 		return v.recomputeLocked(snap)
 	}
-	n := base.NumPartitions()
-	if len(v.cursors) != n {
-		return v.recomputeLocked(snap)
-	}
-
-	// Collect the per-partition delta pinned by the snapshot's marks.
-	perPart := make([][]core.Change, n)
-	total := 0
-	for p := 0; p < n; p++ {
-		mark := snap.ChangeMark(p)
-		if mark < 0 { // capture off: should not happen for a live view
-			return v.recomputeLocked(snap)
-		}
-		changes, ok := base.ChangesBetween(p, v.cursors[p], mark)
-		if !ok {
-			// Gap: a failed append or pruning overtook our cursor.
-			return v.recomputeLocked(snap)
-		}
-		perPart[p] = changes
-		total += len(changes)
-	}
-	if total == 0 && snap.Version() == v.version {
+	if snap == v.snap {
 		return nil
 	}
 
 	// Past this point the fold mutates accumulator state: any failure —
-	// injected or genuine — must force a full recompute on the next
-	// refresh, or retrying would double-fold the delta.
+	// injected or genuine, an error or a panic — must force a full
+	// recompute on the next refresh, or retrying would double-fold the
+	// delta. The flag is cleared only once the fold completes.
+	v.needRecompute = true
 	if err := faultpoint.Hit(faultpoint.ViewRefresh); err != nil {
-		v.needRecompute = true
 		return fmt.Errorf("view %q refresh: %w", v.def.Name, err)
 	}
-	for p := 0; p < n; p++ {
-		for _, ch := range perPart[p] {
-			if err := v.foldLocked(ch); err != nil {
-				v.needRecompute = true
-				return err
-			}
-		}
+	folded, err := v.foldSince(v.snap, snap)
+	if err != nil {
+		return err
 	}
-	for p := 0; p < n; p++ {
-		v.cursors[p] = snap.ChangeMark(p)
-	}
-	v.version = snap.Version()
+	v.snap = snap
+	v.stats.DeltaRows += folded
 	v.stats.Refreshes++
+	v.needRecompute = false
 	return nil
 }
 
-// foldLocked folds one change record's appended rows into the
-// accumulator state.
-func (v *View) foldLocked(ch core.Change) error {
-	for _, row := range ch.Rows {
-		folded, err := v.foldRow(row)
-		if err != nil {
-			return err
+// foldSince folds the rows snap holds beyond prev (every row when prev is
+// nil) into the accumulator state, reporting how many passed the filter.
+func (v *View) foldSince(prev, snap *core.Snapshot) (int64, error) {
+	var folded int64
+	for p := 0; p < snap.NumPartitions(); p++ {
+		var foldErr error
+		err := snap.ScanPartitionSince(prev, p, func(row sqltypes.Row) bool {
+			var ok bool
+			ok, foldErr = v.foldRow(row)
+			if ok {
+				folded++
+			}
+			return foldErr == nil
+		})
+		if err == nil {
+			err = foldErr
 		}
-		if folded {
-			v.stats.DeltaRows++
+		if err != nil {
+			return folded, err
 		}
 	}
-	return nil
+	return folded, nil
 }
 
 // foldRow folds one base row into its group, creating the group on first
@@ -266,13 +219,9 @@ func (v *View) foldRow(row sqltypes.Row) (folded bool, err error) {
 	if err != nil || !keep {
 		return false, err
 	}
-	key, keys, err := v.groupKey(row)
+	g, err := v.groupOf(row)
 	if err != nil {
 		return false, err
-	}
-	g := v.state[key]
-	if g == nil {
-		g = v.addGroup(key, keys)
 	}
 	return true, v.addRow(g, row)
 }
@@ -318,39 +267,18 @@ func (v *View) addRow(g *group, row sqltypes.Row) error {
 	return nil
 }
 
-// recomputeLocked rebuilds the whole state from snap and re-anchors the
-// cursors at snap's change marks.
+// recomputeLocked rebuilds the whole state from snap and makes snap the
+// view's cursor.
 func (v *View) recomputeLocked(snap *core.Snapshot) error {
 	// Pessimistically sticky: cleared only when the rebuild completes, so a
 	// recompute that itself fails mid-scan forces another one.
 	v.needRecompute = true
 	v.state = map[string]*group{}
 	v.order = v.order[:0]
-	for p := 0; p < snap.NumPartitions(); p++ {
-		var foldErr error
-		err := snap.ScanPartition(p, func(row sqltypes.Row) bool {
-			_, foldErr = v.foldRow(row)
-			return foldErr == nil
-		})
-		if err == nil {
-			err = foldErr
-		}
-		if err != nil {
-			return err
-		}
+	if _, err := v.foldSince(nil, snap); err != nil {
+		return err
 	}
-	n := v.def.Base.NumPartitions()
-	if len(v.cursors) != n {
-		v.cursors = make([]int64, n)
-	}
-	for p := 0; p < n; p++ {
-		mark := snap.ChangeMark(p)
-		if mark < 0 {
-			mark = 0
-		}
-		v.cursors[p] = mark
-	}
-	v.version = snap.Version()
+	v.snap = snap
 	v.stats.FullRecomputes++
 	v.stats.Refreshes++
 	v.needRecompute = false
@@ -364,41 +292,26 @@ func (v *View) passesFilter(row sqltypes.Row) (bool, error) {
 	return expr.EvalPredicate(v.def.Filter, row)
 }
 
-// groupKey evaluates the group expressions and encodes them as a map key.
-func (v *View) groupKey(row sqltypes.Row) (string, sqltypes.Row, error) {
-	if len(v.def.Groups) == 0 {
-		return "", nil, nil
-	}
-	keys := make(sqltypes.Row, len(v.def.Groups))
-	var buf []byte
-	for i, g := range v.def.Groups {
-		val, err := g.Eval(row)
+// groupOf evaluates the group expressions and returns row's group,
+// creating it on first sight. The values and their encoded map key go
+// into reused buffers, so a row of an existing group allocates nothing.
+func (v *View) groupOf(row sqltypes.Row) (*group, error) {
+	v.keyVals, v.key = v.keyVals[:0], v.key[:0]
+	for _, e := range v.def.Groups {
+		val, err := e.Eval(row)
 		if err != nil {
-			return "", nil, err
+			return nil, err
 		}
-		keys[i] = val
-		buf = appendKey(buf, val)
+		v.keyVals = append(v.keyVals, val)
+		v.key = appendKey(v.key, val)
 	}
-	return string(buf), keys, nil
-}
-
-func (v *View) addGroup(key string, keys sqltypes.Row) *group {
-	g := &group{keys: keys, accs: make([]acc, len(v.def.Aggs))}
-	if v.state == nil {
-		v.state = map[string]*group{}
+	if g := v.state[string(v.key)]; g != nil {
+		return g, nil
 	}
-	v.state[key] = g
+	g := &group{keys: v.keyVals.Clone(), accs: make([]acc, len(v.def.Aggs))}
+	v.state[string(v.key)] = g
 	v.order = append(v.order, g)
-	return g
-}
-
-// prune lets the registry drop change records every view has folded. Must
-// be called without holding v.mu (the registry reads every view's
-// cursors, including ours).
-func (v *View) prune() {
-	if v.reg != nil {
-		v.reg.PruneBaseLog(v.def.Base)
-	}
+	return g, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -407,15 +320,6 @@ func (v *View) prune() {
 // RefreshRows implements catalog.MaterializedView: refresh, then
 // materialize the state rows (internal layout: groups then aggregates).
 func (v *View) RefreshRows() ([]sqltypes.Row, error) {
-	rows, err := v.refreshRows()
-	if err != nil {
-		return nil, err
-	}
-	v.prune()
-	return rows, nil
-}
-
-func (v *View) refreshRows() ([]sqltypes.Row, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if err := v.refreshLocked(); err != nil {

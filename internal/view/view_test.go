@@ -1,14 +1,16 @@
 package view
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 
-	"indexeddf/internal/catalog"
 	"indexeddf/internal/core"
 	"indexeddf/internal/expr"
+	"indexeddf/internal/faultpoint"
 	"indexeddf/internal/sqltypes"
 )
 
@@ -57,16 +59,15 @@ func newBase(t *testing.T) *core.IndexedTable {
 	return base
 }
 
-// oracle recomputes the view's expected rows from a live snapshot with an
+// oracle recomputes the view's expected rows from snap with an
 // independent implementation.
-func oracle(t *testing.T, base *core.IndexedTable, filter expr.Expr) map[int64][]sqltypes.Value {
+func oracle(t *testing.T, snap *core.Snapshot, filter expr.Expr) map[int64][]sqltypes.Value {
 	t.Helper()
 	type st struct {
 		n, sum, nonNull int64
 		min, max        sqltypes.Value
 	}
 	groups := map[int64]*st{}
-	snap := base.Snapshot()
 	for p := 0; p < snap.NumPartitions(); p++ {
 		err := snap.ScanPartition(p, func(r sqltypes.Row) bool {
 			if filter != nil {
@@ -114,13 +115,21 @@ func oracle(t *testing.T, base *core.IndexedTable, filter expr.Expr) map[int64][
 	return out
 }
 
+// checkAgainstOracle refreshes v and compares its rows with a recompute
+// from the base table's current snapshot.
 func checkAgainstOracle(t *testing.T, v *View, base *core.IndexedTable, filter expr.Expr) {
 	t.Helper()
-	want := oracle(t, base, filter)
+	want := oracle(t, base.Snapshot(), filter)
 	rows, err := v.RefreshRows()
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkRows(t, rows, want)
+}
+
+// checkRows compares a view's state rows with an oracle's.
+func checkRows(t *testing.T, rows []sqltypes.Row, want map[int64][]sqltypes.Value) {
+	t.Helper()
 	if len(rows) != len(want) {
 		t.Fatalf("view has %d groups, oracle %d", len(rows), len(want))
 	}
@@ -152,7 +161,7 @@ func TestViewInitialBuildAndDeltaAppend(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	v, err := New(testDef(base, nil), nil)
+	v, err := New(testDef(base, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +194,7 @@ func TestViewOverwriteStreamMatchesRecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := New(testDef(base, nil), nil)
+	v, err := New(testDef(base, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +230,7 @@ func TestViewNullHandling(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	v, err := New(testDef(base, nil), nil)
+	v, err := New(testDef(base, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +250,7 @@ func TestViewWithFilter(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	v, err := New(testDef(base, filter), nil)
+	v, err := New(testDef(base, filter))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +267,7 @@ func TestViewGlobalAggregate(t *testing.T) {
 	base := newBase(t)
 	def := testDef(base, nil)
 	def.Groups = nil
-	v, err := New(def, nil)
+	v, err := New(def)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +299,7 @@ func TestViewGlobalAggSurvivesEmptyThenRefill(t *testing.T) {
 	base := newBase(t)
 	def := testDef(base, nil)
 	def.Groups = nil
-	v, err := New(def, nil)
+	v, err := New(def)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +325,7 @@ func TestViewGroupChurnBoundsOrder(t *testing.T) {
 	// Keys overwritten over and over move their newest version between
 	// groups; the emission order keeps exactly one slot per group.
 	base := newBase(t)
-	v, err := New(testDef(base, nil), nil)
+	v, err := New(testDef(base, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,19 +350,23 @@ func TestViewGroupChurnBoundsOrder(t *testing.T) {
 	}
 	checkAgainstOracle(t, v, base, nil)
 }
-func TestViewLogGapForcesRecompute(t *testing.T) {
+
+// TestViewRefreshFaultForcesOneRebuild: a failed append publishes
+// nothing, so the view folds on without a rebuild; a refresh that fails
+// once it has started folding forces exactly one rebuild, after which
+// delta folding resumes.
+func TestViewRefreshFaultForcesOneRebuild(t *testing.T) {
+	defer faultpoint.Reset()
 	base := newBase(t)
 	for i := int64(0); i < 10; i++ {
 		if err := base.Append([]sqltypes.Row{row(i%3, i%3, i64(i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	v, err := New(testDef(base, nil), nil)
+	v, err := New(testDef(base, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A batch whose second row fails to encode publishes nothing and
-	// leaves the change log whole: the view folds on without a rebuild.
 	bad := sqltypes.Row{i64(1), i64(1), sqltypes.NewString("boom")}
 	if err := base.Append([]sqltypes.Row{row(1, 1, i64(50)), bad}); err == nil {
 		t.Fatal("expected encode failure")
@@ -362,29 +375,32 @@ func TestViewLogGapForcesRecompute(t *testing.T) {
 	if n := v.Stats().FullRecomputes; n != 1 {
 		t.Fatalf("full recomputes = %d after a failed batch, want the initial build only", n)
 	}
-	// Rows that land while capture is off break the log.
-	base.DisableChangeCapture()
+
 	if err := base.Append([]sqltypes.Row{row(2, 2, i64(60))}); err != nil {
 		t.Fatal(err)
 	}
-	base.EnableChangeCapture()
-	checkAgainstOracle(t, v, base, nil)
-	if v.Stats().FullRecomputes < 2 {
-		t.Fatalf("full recomputes = %d, a log gap must force a rebuild", v.Stats().FullRecomputes)
+	boom := errors.New("refresh blew up")
+	faultpoint.Arm(faultpoint.ViewRefresh, faultpoint.Schedule{Err: boom, Limit: 1})
+	if err := v.Refresh(); !errors.Is(err, boom) {
+		t.Fatalf("refresh err = %v, want the injected failure", err)
 	}
-	// And delta maintenance works again after the re-anchor.
+	checkAgainstOracle(t, v, base, nil)
+	if n := v.Stats().FullRecomputes; n != 2 {
+		t.Fatalf("full recomputes = %d after a failed refresh, want exactly one rebuild", n)
+	}
+
 	if err := base.Append([]sqltypes.Row{row(99, 9, i64(99))}); err != nil {
 		t.Fatal(err)
 	}
-	before := v.Stats().FullRecomputes
+	delta := v.Stats().DeltaRows
 	checkAgainstOracle(t, v, base, nil)
-	if v.Stats().FullRecomputes != before {
-		t.Fatal("append after the gap should fold incrementally")
+	if st := v.Stats(); st.FullRecomputes != 2 || st.DeltaRows != delta+1 {
+		t.Fatalf("stats = %+v after the rebuild, want the next append folded as a delta", st)
 	}
 }
 func TestViewMatchesCanonical(t *testing.T) {
 	base := newBase(t)
-	v, err := New(testDef(base, nil), nil)
+	v, err := New(testDef(base, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,30 +435,6 @@ func TestViewMatchesCanonical(t *testing.T) {
 	}
 }
 
-func TestViewLogPruning(t *testing.T) {
-	base := newBase(t)
-	reg := catalog.NewViewRegistry()
-	v, err := New(testDef(base, nil), reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Register(v); err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 100; i++ {
-		if err := base.Append([]sqltypes.Row{row(i, i%5, i64(i))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := v.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	if n := base.ChangeLogSize(); n != 0 {
-		t.Fatalf("log retains %d records after refresh+prune", n)
-	}
-	checkAgainstOracle(t, v, base, nil)
-}
-
 func TestViewRowsSorted(t *testing.T) {
 	// Deterministic emission order sanity: groups come out in first-seen
 	// order; sorting them yields the oracle's key set.
@@ -452,7 +444,7 @@ func TestViewRowsSorted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	v, err := New(testDef(base, nil), nil)
+	v, err := New(testDef(base, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,10 +462,11 @@ func TestViewRowsSorted(t *testing.T) {
 	}
 }
 
-// TestEnableCaptureDuringAppends builds views while a writer appends, so
-// change capture switches on between (never inside) batches; each view,
-// refreshed after the writer stops, must equal a recompute.
-func TestEnableCaptureDuringAppends(t *testing.T) {
+// TestViewBuiltDuringAppendsMatchesRecompute builds views while a writer
+// appends and refreshes each several times before the writer stops; after
+// every refresh the state must equal a recompute from the very snapshot
+// the view reports it reflects.
+func TestViewBuiltDuringAppendsMatchesRecompute(t *testing.T) {
 	for round := 0; round < 10; round++ {
 		base := newBase(t)
 		done := make(chan struct{})
@@ -491,14 +484,71 @@ func TestEnableCaptureDuringAppends(t *testing.T) {
 				}
 			}
 		}()
-		v, err := New(testDef(base, nil), nil)
+		v, err := New(testDef(base, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := v.RefreshRows(); err != nil {
-			t.Fatal(err)
+		for i := 0; i < 5; i++ {
+			rows, err := v.RefreshRows()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Only this goroutine refreshes v, so its snapshot stays put.
+			v.mu.Lock()
+			snap := v.snap
+			v.mu.Unlock()
+			if snap.Version() != v.RefreshedVersion() {
+				t.Fatalf("view at snapshot %d reports version %d", snap.Version(), v.RefreshedVersion())
+			}
+			checkRows(t, rows, oracle(t, snap, nil))
 		}
 		<-done
 		checkAgainstOracle(t, v, base, nil)
+	}
+}
+
+// TestViewKeepsNoCopyOfAppendedRows: appends to a viewed table that is not
+// refreshed grow the heap no more than the same appends to an unviewed
+// twin, because a view's delta is read back from the row batches rather
+// than kept aside; one refresh then folds every row.
+func TestViewKeepsNoCopyOfAppendedRows(t *testing.T) {
+	const n, batch = 100_000, 100
+	heapLive := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	grow := func(tbl *core.IndexedTable) int64 {
+		before := heapLive()
+		for lo := int64(0); lo < n; lo += batch {
+			rows := make([]sqltypes.Row, batch)
+			for j := range rows {
+				k := lo + int64(j)
+				rows[j] = row(k, k%5, i64(k))
+			}
+			if err := tbl.Append(rows); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return heapLive() - before
+	}
+	twin := newBase(t)
+	plain := grow(twin)
+	base := newBase(t)
+	v, err := New(testDef(base, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	viewed := grow(base)
+	runtime.KeepAlive(twin)
+	t.Logf("heap growth for %d rows: viewed %d bytes, unviewed %d", n, viewed, plain)
+	if limit := max(plain*11/10, plain+1<<20); viewed > limit {
+		t.Fatalf("%d appended rows grew the heap by %d bytes on a viewed table, %d on an unviewed one (limit %d)",
+			n, viewed, plain, limit)
+	}
+	checkAgainstOracle(t, v, base, nil)
+	if st := v.Stats(); st.FullRecomputes != 1 || st.DeltaRows != n {
+		t.Fatalf("stats = %+v, want the initial build and one refresh folding all %d rows", st, n)
 	}
 }

@@ -144,7 +144,7 @@ func (s *Session) initObservability() {
 		viewStats(func(st view.Stats) int64 { return st.Refreshes }))
 	m.CounterFunc("indexeddf_view_full_recomputes_total", "Materialized-view full state rebuilds.",
 		viewStats(func(st view.Stats) int64 { return st.FullRecomputes }))
-	m.CounterFunc("indexeddf_view_delta_rows_total", "Change-log rows folded incrementally into views.",
+	m.CounterFunc("indexeddf_view_delta_rows_total", "Appended rows folded incrementally into views.",
 		viewStats(func(st view.Stats) int64 { return st.DeltaRows }))
 
 	// Stream ingestion.

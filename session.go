@@ -261,9 +261,8 @@ func (s *Session) Table(name string) (*DataFrame, error) {
 }
 
 // DropTable removes a table from the catalog. Dropping a base table also
-// drops every materialized view defined over it (their change capture is
-// turned off and retained logs discarded); dropping a view by name behaves
-// like DropMaterializedView. Compiled plans referencing the dropped
+// drops every materialized view defined over it; dropping a view by name
+// behaves like DropMaterializedView. Compiled plans referencing the dropped
 // entries are purged from the plan cache; plans over other tables stay
 // warm.
 func (s *Session) DropTable(name string) {
@@ -276,23 +275,15 @@ func (s *Session) DropTable(name string) {
 	dropped := []string{name}
 	defer func() { s.plans.purgeTables(dropped...) }()
 	// The name may itself be a materialized view.
-	if v, ok := s.views.Get(name); ok {
-		s.views.Drop(name)
-		if len(s.views.ForBase(v.Base())) == 0 {
-			v.Base().DisableChangeCapture()
-		}
+	if s.views.Drop(name) {
 		return
 	}
-	// A dropped base table orphans every view defined over it: drop them
-	// all, then turn the table's change capture off.
+	// A dropped base table orphans every view defined over it: drop them all.
 	it, ok := t.(*catalog.IndexedTable)
 	if !ok {
 		return
 	}
 	views := s.views.ForBase(it.Core())
-	if len(views) == 0 {
-		return
-	}
 	s.mu.Lock()
 	for _, v := range views {
 		s.views.Drop(v.Name())
@@ -300,7 +291,6 @@ func (s *Session) DropTable(name string) {
 		dropped = append(dropped, v.Name())
 	}
 	s.mu.Unlock()
-	it.Core().DisableChangeCapture()
 }
 
 // Tables lists registered table names.

@@ -179,7 +179,7 @@ func TestViewWithWhereAndHaving(t *testing.T) {
 }
 
 func TestDropAndRefreshMaterializedViewSQL(t *testing.T) {
-	s, df := newViewSession(t, 40, 0)
+	s, _ := newViewSession(t, 40, 0)
 	if _, err := s.SQL("CREATE MATERIALIZED VIEW v AS " + salesAggSQL); err != nil {
 		t.Fatal(err)
 	}
@@ -201,17 +201,6 @@ func TestDropAndRefreshMaterializedViewSQL(t *testing.T) {
 	}
 	if strings.Contains(explain, "ViewScan") {
 		t.Fatal("dropped view still answers queries")
-	}
-	// Dropping the last view turned change capture off: further appends
-	// must not accumulate log records.
-	if df.IndexedCore().ChangeCaptureEnabled() {
-		t.Fatal("capture still on after last view dropped")
-	}
-	if _, err := df.AppendRowsSlice([]Row{R(int64(9000), "emea", int64(1))}); err != nil {
-		t.Fatal(err)
-	}
-	if n := df.IndexedCore().ChangeLogSize(); n != 0 {
-		t.Fatalf("change log grew to %d with no views", n)
 	}
 	// The name is reusable.
 	if _, err := s.SQL("CREATE MATERIALIZED VIEW v AS " + salesAggSQL); err != nil {

@@ -15,16 +15,16 @@ import (
 )
 
 // Materialized views: a registered aggregate query over an Indexed
-// DataFrame table whose per-group state is delta-maintained from the
-// table's change log. The planner answers matching aggregations straight
-// from the view (see internal/opt's view rewrite); refresh folds only the
-// rows appended since the view's last refresh.
+// DataFrame table whose per-group state is delta-maintained. The planner
+// answers matching aggregations straight from the view (see internal/opt's
+// view rewrite); refresh folds only the rows appended since the view's
+// last refresh, read back from the table's row batches.
 
 // CreateMaterializedView registers an incrementally maintained view named
 // name defined by selectSQL (SELECT <group cols, aggregates> FROM
 // <indexed table> [WHERE ...] GROUP BY ...). The view is built eagerly,
-// change capture is enabled on the base table, and subsequent matching
-// aggregate queries are answered from the maintained state.
+// and subsequent matching aggregate queries are answered from the
+// maintained state.
 func (s *Session) CreateMaterializedView(name, selectSQL string) (catalog.MaterializedView, error) {
 	node, err := sqlparser.Parse(selectSQL, s.resolveTable)
 	if err != nil {
@@ -35,8 +35,7 @@ func (s *Session) CreateMaterializedView(name, selectSQL string) (catalog.Materi
 
 func (s *Session) createMaterializedView(name, selectSQL string, node plan.Node) (catalog.MaterializedView, error) {
 	// Serialized against DropTable so the view cannot register over a base
-	// that is concurrently being torn down (which would leak the view and
-	// its change capture).
+	// that is concurrently being torn down (which would leak the view).
 	s.ddl.Lock()
 	defer s.ddl.Unlock()
 	if _, exists := s.LookupTable(name); exists {
@@ -54,7 +53,7 @@ func (s *Session) createMaterializedView(name, selectSQL string, node plan.Node)
 	if err != nil {
 		return nil, err
 	}
-	v, err := view.New(def, s.views)
+	v, err := view.New(def)
 	if err != nil {
 		return nil, err
 	}
@@ -72,26 +71,19 @@ func (s *Session) createMaterializedView(name, selectSQL string, node plan.Node)
 	return v, nil
 }
 
-// DropMaterializedView removes a view from the catalog. Dropping a base
-// table's last view turns its change capture off and discards the
-// retained log, so tables without views never pay for capture.
+// DropMaterializedView removes a view from the catalog.
 func (s *Session) DropMaterializedView(name string) error {
 	s.ddl.Lock()
 	defer s.ddl.Unlock()
-	v, ok := s.views.Get(name)
-	if !ok {
+	if !s.views.Drop(name) {
 		return fmt.Errorf("indexeddf: materialized view %q not found", name)
 	}
-	s.views.Drop(name)
 	s.mu.Lock()
 	delete(s.tables, name)
 	s.mu.Unlock()
 	// Plans answered from this view (or scanning it by name) reference it
 	// and purge; plans over the base table that never used it stay warm.
 	s.plans.purgeTables(name)
-	if len(s.views.ForBase(v.Base())) == 0 {
-		v.Base().DisableChangeCapture()
-	}
 	return nil
 }
 
