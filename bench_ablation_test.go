@@ -53,6 +53,8 @@ const (
 	topGroupsQuery = "SELECT k, COUNT(*) AS cnt, SUM(v) AS total FROM t GROUP BY k ORDER BY total DESC, k LIMIT 100"
 	// Every row of t probes t's index on v: the indexed join.
 	probeJoin = "SELECT x.k, y.s FROM t x JOIN t y ON x.k = y.v"
+	// One key's chain probes t's index on v: a point plan.
+	pointJoin = probeJoin + " WHERE x.v = 4242"
 )
 
 // batchSizeQueries decode every row batch, then one key's chain.
@@ -103,6 +105,10 @@ var ablations = []struct {
 	// or is broadcast to every index partition.
 	{"join-probe", "shuffle", indexeddf.Config{BroadcastThreshold: 1}, 0, indexed, []string{probeJoin}},
 	{"join-probe", "broadcast", indexeddf.Config{BroadcastThreshold: 1_000_000}, 0, indexed, []string{probeJoin}},
+	// A point plan runs its tasks on the task pool, or one after another
+	// on the caller's goroutine.
+	{"point-inline", "pool", indexeddf.Config{}, opt.NoInline, indexed, []string{pointJoin}},
+	{"point-inline", "inline", indexeddf.Config{}, 0, indexed, []string{pointJoin}},
 	// Budgets far above the working set: accounting runs, nothing spills.
 	{"budget", "off", indexeddf.Config{}, 0, cached, []string{topGroupsQuery}},
 	{"budget", "on", indexeddf.Config{MemoryLimit: 4 << 30, QueryMemoryLimit: 2 << 30}, 0, cached, []string{topGroupsQuery}},

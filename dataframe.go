@@ -271,8 +271,9 @@ func (df *DataFrame) As(alias string) (*DataFrame, error) {
 
 // Query executes the plan as a streaming cursor: rows are pulled
 // partition-at-a-time (batch-at-a-time inside vectorized subtrees) while
-// remaining partition tasks run in the background, so first-row latency is
-// decoupled from result size. Cancelling ctx — or exceeding its deadline,
+// remaining partition tasks run on the task pool, so first-row latency is
+// decoupled from result size; a point plan runs inline, on the caller's
+// goroutine (see Rows). Cancelling ctx — or exceeding its deadline,
 // or the session's Config.QueryTimeout — stops the remaining partition
 // tasks, shuffle stages and index scans promptly; the reason surfaces from
 // Rows.Err().
@@ -360,7 +361,11 @@ func (df *DataFrame) Explain() (string, error) {
 	sb.WriteString(plan.TreeString(analyzed))
 	sb.WriteString("== Optimized Logical Plan ==\n")
 	sb.WriteString(plan.TreeString(optimized))
-	sb.WriteString("== Physical Plan ==\n")
+	if df.sess.runsInline(exec) {
+		sb.WriteString("== Physical Plan (inline) ==\n")
+	} else {
+		sb.WriteString("== Physical Plan ==\n")
+	}
 	sb.WriteString(physical.TreeString(exec))
 	if views := opt.AnsweredFromView(exec); len(views) > 0 {
 		sb.WriteString("== Materialized Views ==\n")
@@ -379,12 +384,12 @@ func (df *DataFrame) Explain() (string, error) {
 // peak memory). The result rows are drained and discarded.
 func (df *DataFrame) ExplainAnalyze(ctx context.Context) (string, error) {
 	t0 := time.Now()
-	exec, err := df.sess.compile(df.node)
+	exec, inline, err := df.sess.compile(df.node)
 	if err != nil {
 		return "", err
 	}
 	rows, err := df.sess.queryExecMeta(ctx, exec, queryMeta{
-		planNs: time.Since(t0).Nanoseconds(), fullLimit: true})
+		planNs: time.Since(t0).Nanoseconds(), fullLimit: true, inline: inline})
 	if err != nil {
 		return "", err
 	}

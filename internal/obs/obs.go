@@ -278,6 +278,10 @@ type QueryStats struct {
 	ParseNs, PlanNs int64
 	// CacheHit reports whether the physical plan came from the plan cache.
 	CacheHit bool
+	// Inline reports that the query ran inline: every partition task on
+	// the caller's goroutine, none on the task pool. Written before
+	// execution starts.
+	Inline bool
 
 	totalNs        atomic.Int64
 	tasksStarted   atomic.Int64
@@ -476,8 +480,12 @@ func (q *QueryStats) String() string {
 	if n := q.SpillRuns(); n > 0 {
 		spill = fmt.Sprintf(" spill=%s/%d runs", FormatBytes(q.SpillBytes()), n)
 	}
-	return fmt.Sprintf("%s: rows=%d tasks=%d/%d shuffle=%s mem=%s%s parse=%s plan=%s total=%s",
-		q.ID, q.RowsReturned(), q.TasksCompleted(), q.TasksStarted(),
+	inline := ""
+	if q.Inline {
+		inline = " inline"
+	}
+	return fmt.Sprintf("%s: rows=%d tasks=%d/%d%s shuffle=%s mem=%s%s parse=%s plan=%s total=%s",
+		q.ID, q.RowsReturned(), q.TasksCompleted(), q.TasksStarted(), inline,
 		FormatBytes(q.ShuffleBytes()), FormatBytes(q.MemPeak()), spill,
 		time.Duration(q.ParseNs), time.Duration(q.PlanNs), time.Duration(q.TotalNs()))
 }

@@ -32,6 +32,9 @@ const (
 	// SingleMerge runs a spilled vectorized sort's final merge as one
 	// k-way merge task instead of the range-partitioned parallel merge.
 	SingleMerge
+	// NoInline runs point plans (physical.IsPointPlan) on the task pool
+	// like every other plan instead of on the caller's goroutine.
+	NoInline
 )
 
 // Has reports whether any bit of b is set in a.

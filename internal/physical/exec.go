@@ -226,6 +226,26 @@ func TreeString(e Exec) string {
 	return sb.String()
 }
 
+// IsPointPlan reports whether every leaf of the plan is an index lookup
+// or literal rows: the shape of a short read, whose few tiny tasks cost
+// less run one after another on the caller's goroutine than handed to
+// the task pool. An indexed join's indexed side is probed per key and is
+// not a child, so a join probed by a lookup qualifies; a plan with a scan
+// or a view scan anywhere never does.
+func IsPointPlan(e Exec) bool {
+	switch e.(type) {
+	case *IndexLookupExec, *ValuesExec:
+		return true
+	}
+	children := e.Children()
+	for _, c := range children {
+		if !IsPointPlan(c) {
+			return false
+		}
+	}
+	return len(children) > 0
+}
+
 // ReferencedTables returns the names of every catalog table and
 // materialized view a compiled plan reads, deduplicated. The session's
 // plan cache keys its invalidation on this set: DDL touching one table

@@ -13,6 +13,18 @@ import (
 	"indexeddf/internal/sqltypes"
 )
 
+// chunks splits rows into n contiguous partitions (the last ones shorter
+// or empty when rows do not divide evenly), for building a SliceRDD.
+func chunks(rows []sqltypes.Row, n int) [][]sqltypes.Row {
+	parts := make([][]sqltypes.Row, n)
+	size := (len(rows) + n - 1) / n
+	for i := range parts {
+		lo, hi := min(i*size, len(rows)), min((i+1)*size, len(rows))
+		parts[i] = rows[lo:hi]
+	}
+	return parts
+}
+
 func schema2() *sqltypes.Schema {
 	return sqltypes.NewSchema(
 		sqltypes.Field{Name: "k", Type: sqltypes.Int64},
@@ -71,7 +83,7 @@ func TestSortExecMultiplePartitions(t *testing.T) {
 	c := ec()
 	rows := rowsN(50, 50)
 	// Shuffle input order across partitions.
-	base := c.RDD.Parallelize(append(rows[25:], rows[:25]...), 4)
+	base := c.RDD.NewSliceRDD(chunks(append(rows[25:], rows[:25]...), 4))
 	wrap := &rddExec{r: base, schema: schema2()}
 	sorted := NewSort(wrap, []SortOrder{{Expr: expr.B(0, sqltypes.Int64, "k"), Desc: true}})
 	r, err := sorted.Execute(c)
@@ -105,7 +117,7 @@ func (e *rddExec) Execute(*ExecContext) (rdd.RDD, error) { return e.r, nil }
 
 func TestLimitExecAcrossPartitions(t *testing.T) {
 	c := ec()
-	base := c.RDD.Parallelize(rowsN(100, 100), 5)
+	base := c.RDD.NewSliceRDD(chunks(rowsN(100, 100), 5))
 	wrap := &rddExec{r: base, schema: schema2()}
 	out, err := c.RDD.Collect(mustExec(t, c, NewLimit(wrap, 7)))
 	if err != nil {

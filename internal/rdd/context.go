@@ -97,10 +97,30 @@ func (c *Context) SpillManager() *spill.Manager { return c.spill }
 func (c *Context) nextRDDID() int     { return int(c.rddID.Add(1)) }
 func (c *Context) nextShuffleID() int { return int(c.shuffleID.Add(1)) }
 
-// parallelFor runs f(0..n-1) on the task pool and returns the first error.
-// A cancelled ctx stops handing out new indices and surfaces ctx.Err().
-// Worker panics are contained: a panicking f fails the loop with a
-// *TaskPanicError instead of killing the process.
+// inlineKey is the context key of the inline mark (WithInline).
+type inlineKey struct{}
+
+// WithInline marks ctx inline: every job started under it — shuffle map
+// stages, broadcast sub-jobs and the streamed final stage — runs its
+// partition tasks one after another on the calling goroutine instead of
+// on the task pool. The session marks point plans (every leaf an index
+// lookup), whose tasks are too small to pay for worker goroutines,
+// channels and tickets.
+func WithInline(ctx context.Context) context.Context {
+	return context.WithValue(ctx, inlineKey{}, true)
+}
+
+// Inline reports whether ctx carries the inline mark.
+func Inline(ctx context.Context) bool {
+	on, _ := ctx.Value(inlineKey{}).(bool)
+	return on
+}
+
+// parallelFor runs f(0..n-1) on the task pool and returns the first error;
+// under an inline context, or with a pool one wide, it runs them in order
+// on the calling goroutine. A cancelled ctx stops handing out new indices
+// and surfaces ctx.Err(). Task panics are contained: a panicking f fails
+// the loop with a *TaskPanicError instead of killing the process.
 func (c *Context) parallelFor(ctx context.Context, n int, f func(i int) error) error {
 	if n == 0 {
 		return nil
@@ -113,7 +133,7 @@ func (c *Context) parallelFor(ctx context.Context, n int, f func(i int) error) e
 	if width > n {
 		width = n
 	}
-	if width <= 1 {
+	if width <= 1 || Inline(ctx) {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return err

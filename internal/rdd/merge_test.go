@@ -86,7 +86,7 @@ func TestStreamJobLazySinglePartition(t *testing.T) {
 	for i := range rows {
 		rows[i] = sqltypes.Row{sqltypes.NewInt64(int64(i)), sqltypes.NewInt64(int64(i))}
 	}
-	r := c.Parallelize(rows, 1)
+	r := c.NewSliceRDD(chunks(rows, 1))
 	base := c.TasksStarted()
 	s := c.StreamJob(nil, r)
 	if got := c.TasksStarted() - base; got != 0 {
@@ -109,7 +109,7 @@ func TestStreamJobLazySinglePartition(t *testing.T) {
 		t.Fatalf("abandoned lazy task counted as completed (%d)", got)
 	}
 	// A drained lazy stream completes its task.
-	s2 := c.StreamJob(nil, c.Parallelize(rows[:16], 1))
+	s2 := c.StreamJob(nil, c.NewSliceRDD(chunks(rows[:16], 1)))
 	n := 0
 	for {
 		row, err := s2.Next()

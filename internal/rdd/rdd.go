@@ -3,7 +3,8 @@
 // dependencies, a hash partitioner, an in-memory shuffle service and a DAG
 // scheduler running tasks on a bounded worker pool — a faithful
 // single-process analogue of Spark's core (Zaharia et al., NSDI 2012),
-// which the Indexed DataFrame plugs into.
+// which the Indexed DataFrame plugs into. Jobs under an inline context
+// (WithInline) run their tasks on the calling goroutine instead.
 package rdd
 
 import (
@@ -176,27 +177,6 @@ type SliceRDD struct {
 // NewSliceRDD wraps pre-partitioned rows.
 func (c *Context) NewSliceRDD(parts [][]sqltypes.Row) *SliceRDD {
 	return &SliceRDD{id: c.nextRDDID(), parts: parts}
-}
-
-// Parallelize splits rows round-robin into n partitions.
-func (c *Context) Parallelize(rows []sqltypes.Row, n int) *SliceRDD {
-	if n <= 0 {
-		n = c.Parallelism()
-	}
-	parts := make([][]sqltypes.Row, n)
-	chunk := (len(rows) + n - 1) / n
-	for i := 0; i < n; i++ {
-		lo := i * chunk
-		hi := lo + chunk
-		if lo > len(rows) {
-			lo = len(rows)
-		}
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		parts[i] = rows[lo:hi]
-	}
-	return c.NewSliceRDD(parts)
 }
 
 // ID implements RDD.

@@ -9,6 +9,18 @@ import (
 	"indexeddf/internal/sqltypes"
 )
 
+// chunks splits rows into n contiguous partitions (the last ones shorter
+// or empty when rows do not divide evenly), for building a SliceRDD.
+func chunks(rows []sqltypes.Row, n int) [][]sqltypes.Row {
+	parts := make([][]sqltypes.Row, n)
+	size := (len(rows) + n - 1) / n
+	for i := range parts {
+		lo, hi := min(i*size, len(rows)), min((i+1)*size, len(rows))
+		parts[i] = rows[lo:hi]
+	}
+	return parts
+}
+
 func intRows(n int) []sqltypes.Row {
 	rows := make([]sqltypes.Row, n)
 	for i := range rows {
@@ -26,9 +38,9 @@ func rowInts(rows []sqltypes.Row) []int {
 	return out
 }
 
-func TestParallelizeAndCollect(t *testing.T) {
+func TestSliceRDDCollect(t *testing.T) {
 	c := NewContext(WithParallelism(4))
-	r := c.Parallelize(intRows(100), 7)
+	r := c.NewSliceRDD(chunks(intRows(100), 7))
 	if r.NumPartitions() != 7 {
 		t.Fatalf("NumPartitions = %d", r.NumPartitions())
 	}
@@ -46,15 +58,15 @@ func TestParallelizeAndCollect(t *testing.T) {
 	}
 }
 
-func TestParallelizeEmptyAndSmall(t *testing.T) {
+func TestSliceRDDEmptyAndSmall(t *testing.T) {
 	c := NewContext()
-	r := c.Parallelize(nil, 4)
+	r := c.NewSliceRDD(chunks(nil, 4))
 	rows, err := c.Collect(r)
 	if err != nil || len(rows) != 0 {
 		t.Fatalf("empty collect: %v %v", rows, err)
 	}
 	// Fewer rows than partitions.
-	r2 := c.Parallelize(intRows(2), 8)
+	r2 := c.NewSliceRDD(chunks(intRows(2), 8))
 	rows2, err := c.Collect(r2)
 	if err != nil || len(rows2) != 2 {
 		t.Fatalf("small collect: %v %v", rows2, err)
@@ -63,7 +75,7 @@ func TestParallelizeEmptyAndSmall(t *testing.T) {
 
 func TestIterRDDPipelining(t *testing.T) {
 	c := NewContext()
-	base := c.Parallelize(intRows(50), 4)
+	base := c.NewSliceRDD(chunks(intRows(50), 4))
 	doubled := c.NewIterRDD(base, 0, func(_ *TaskContext, _ int, in sqltypes.RowIter) (sqltypes.RowIter, error) {
 		rows, err := sqltypes.Drain(in)
 		if err != nil {
@@ -89,7 +101,7 @@ func TestIterRDDPipelining(t *testing.T) {
 
 func TestShuffleGroupsByKey(t *testing.T) {
 	c := NewContext(WithParallelism(2))
-	base := c.Parallelize(intRows(1000), 8)
+	base := c.NewSliceRDD(chunks(intRows(1000), 8))
 	part := &HashPartitioner{N: 5, Key: func(r sqltypes.Row) sqltypes.Value { return r[0] }}
 	sh := c.NewShuffledRDD(base, part)
 	parts, err := c.RunJob(sh)
@@ -117,7 +129,7 @@ func TestShuffleGroupsByKey(t *testing.T) {
 func TestShuffleChain(t *testing.T) {
 	// Two shuffles back to back exercise multi-stage scheduling.
 	c := NewContext()
-	base := c.Parallelize(intRows(200), 4)
+	base := c.NewSliceRDD(chunks(intRows(200), 4))
 	p1 := &HashPartitioner{N: 3, Key: func(r sqltypes.Row) sqltypes.Value { return r[0] }}
 	s1 := c.NewShuffledRDD(base, p1)
 	s2 := c.NewShuffledRDD(s1, SinglePartitioner{})
@@ -132,8 +144,8 @@ func TestShuffleChain(t *testing.T) {
 
 func TestUnionRDD(t *testing.T) {
 	c := NewContext()
-	a := c.Parallelize(intRows(10), 2)
-	b := c.Parallelize(intRows(5), 3)
+	a := c.NewSliceRDD(chunks(intRows(10), 2))
+	b := c.NewSliceRDD(chunks(intRows(5), 3))
 	u := c.NewUnionRDD(a, b)
 	if u.NumPartitions() != 5 {
 		t.Fatalf("union partitions = %d", u.NumPartitions())
@@ -202,7 +214,7 @@ func TestHashPartitionerDeterminism(t *testing.T) {
 
 func TestStreamJobDeliversPartitionOrderAndCancels(t *testing.T) {
 	c := NewContext(WithParallelism(2))
-	base := c.Parallelize(intRows(10_000), 16)
+	base := c.NewSliceRDD(chunks(intRows(10_000), 16))
 	// Streamed rows match Collect order.
 	want, err := c.Collect(base)
 	if err != nil {
@@ -254,4 +266,47 @@ func TestStreamJobDeliversPartitionOrderAndCancels(t *testing.T) {
 
 	// Close is idempotent and releases cleanly after exhaustion.
 	s.Close()
+}
+
+// TestStreamJobInline: under an inline context a multi-partition job takes
+// the lazy path — partition p starts only when the consumer reaches it and
+// rows come in Collect order — and its shuffle map stage runs and is
+// released like any other.
+func TestStreamJobInline(t *testing.T) {
+	c := NewContext(WithParallelism(4))
+	base := c.NewSliceRDD(chunks(intRows(100), 4))
+	ctx := WithInline(context.Background())
+	s := c.StreamJob(ctx, base)
+	for i := 0; i < 30; i++ {
+		row, err := s.Next()
+		if err != nil || row == nil || row[0].Int64Val() != int64(i) {
+			t.Fatalf("Next %d: row=%v err=%v", i, row, err)
+		}
+	}
+	s.Close()
+	// 30 rows reach into the second 25-row partition; the other two
+	// never start.
+	if started, completed := c.TasksStarted(), c.TasksCompleted(); started != 2 || completed != 1 {
+		t.Fatalf("tasks %d/%d, want 1 completed of 2 started", completed, started)
+	}
+
+	s = c.StreamJob(ctx, c.NewShuffledRDD(base, &HashPartitioner{N: 3,
+		Key: func(r sqltypes.Row) sqltypes.Value { return r[0] }}))
+	var got []sqltypes.Row
+	for {
+		row, err := s.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row == nil {
+			break
+		}
+		got = append(got, row)
+	}
+	if ints := rowInts(got); len(ints) != 100 || ints[0] != 0 || ints[99] != 99 {
+		t.Fatalf("shuffled inline job returned %d rows", len(got))
+	}
+	if n := c.ShuffleOutstanding(); n != 0 {
+		t.Fatalf("%d shuffles retained after exhaustion", n)
+	}
 }

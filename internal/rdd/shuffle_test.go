@@ -32,13 +32,13 @@ func TestBatchShuffleRoundTrip(t *testing.T) {
 		rows[i] = sqltypes.Row{k, sqltypes.NewInt64(int64(i))}
 	}
 	const nReduce = 5
-	parent := c.Parallelize(rows, 8)
+	parent := c.NewSliceRDD(chunks(rows, 8))
 	batch := c.NewBatchShuffledRDD(parent, kvSchema(), []int{0}, nReduce)
 	bParts, err := c.RunJob(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := c.NewShuffledRDD(c.Parallelize(rows, 8),
+	row := c.NewShuffledRDD(c.NewSliceRDD(chunks(rows, 8)),
 		&HashPartitioner{N: nReduce, Key: func(r sqltypes.Row) sqltypes.Value { return r[0] }})
 	rParts, err := c.RunJob(row)
 	if err != nil {
@@ -82,12 +82,12 @@ func TestBatchShuffleSinglePartitionOrder(t *testing.T) {
 	for i := range rows {
 		rows[i] = sqltypes.Row{sqltypes.NewInt64(int64(i)), sqltypes.NewInt64(int64(i))}
 	}
-	parent := c.Parallelize(rows, 4)
+	parent := c.NewSliceRDD(chunks(rows, 4))
 	gathered, err := c.Collect(c.NewBatchShuffledRDD(parent, kvSchema(), nil, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := c.Collect(c.NewShuffledRDD(c.Parallelize(rows, 4), SinglePartitioner{}))
+	want, err := c.Collect(c.NewShuffledRDD(c.NewSliceRDD(chunks(rows, 4)), SinglePartitioner{}))
 	if err != nil {
 		t.Fatal(err)
 	}

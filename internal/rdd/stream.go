@@ -12,12 +12,24 @@ import (
 	"indexeddf/internal/sqltypes"
 )
 
-// RowStream is an incremental job run: partition tasks execute on a
-// bounded worker pool in the background while the consumer pulls rows in
-// partition order, so the first row of a large result is available as soon
-// as the first partition task finishes — not after the whole job. A
-// ticket system bounds the number of materialized-but-unconsumed
-// partitions to the worker width, giving natural backpressure.
+// RowStream is an incremental job run: the consumer pulls rows in
+// partition order, matching Collect, while the partition tasks run on one
+// of two paths.
+//
+// On the pool path they execute on a bounded worker pool in the
+// background, so the first row of a large result is available as soon as
+// the first partition task finishes — not after the whole job. A ticket
+// system bounds the number of materialized-but-unconsumed partitions to
+// the worker width, giving natural backpressure.
+//
+// On the lazy path no goroutine is started: the consumer computes
+// partition p's iterator when it reaches p, pulls its rows one at a time,
+// then moves on to p+1. Single-partition jobs take it (global sorts, top-n
+// merges, gathered limits: their heavy lifting sits in shuffle map stages,
+// which keep the pool, and materializing the final stage up front would
+// stall the first row until the whole merged result exists), and so does
+// every job under an inline context (WithInline), whose shuffle map stages
+// run serially too. A cursor that stops early never pays for the tail.
 //
 // Closing the stream (or cancelling the context it was started under)
 // stops the remaining partition tasks promptly and releases the job's
@@ -43,13 +55,9 @@ type RowStream struct {
 	finished bool
 	released bool
 
-	// Lazy final stage: single-partition jobs (global sorts, top-n merges,
-	// gathered limits) skip the worker pool and compute their one partition
-	// as an iterator pulled on the consumer's goroutine. The heavy lifting
-	// of such plans sits in shuffle map stages (which still run with full
-	// parallelism); materializing the final stage up front would stall the
-	// first row until the whole merged result exists — and a cursor that
-	// stops early (LIMIT satisfied, Close) never pays for the tail.
+	// Lazy path: lazyIter pulls partition nextPart's rows (nil between
+	// partitions); lazyCount counts delivered rows for the cancellation
+	// poll.
 	lazy      bool
 	lazyIter  sqltypes.RowIter
 	lazyCount int
@@ -62,16 +70,17 @@ type partResult struct {
 }
 
 // StreamJob starts the RDD as a streaming job under ctx and returns the
-// stream. Shuffle stages run first (in the background), then partition
-// tasks execute with the context's parallelism; results are delivered to
-// Next in partition order, matching Collect.
+// stream. Shuffle stages run first, then the partition tasks — on the
+// task pool, or on the lazy path for a single-partition job or under an
+// inline ctx; results are delivered to Next in partition order, matching
+// Collect.
 func (c *Context) StreamJob(ctx context.Context, r RDD) *RowStream {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	sctx, cancel := context.WithCancel(ctx)
 	n := r.NumPartitions()
-	if n == 1 {
+	if n == 1 || Inline(ctx) {
 		return &RowStream{c: c, r: r, ctx: sctx, cancel: cancel, lazy: true}
 	}
 	width := c.parallelism
@@ -204,17 +213,12 @@ func (s *RowStream) Next() (sqltypes.Row, error) {
 	}
 }
 
-// lazyNext serves a single-partition job: shuffle stages are materialized
-// on first use (map tasks still run on the task pool), then the one final
-// partition is computed as an iterator and pulled row-at-a-time — so the
-// consumer sees the first row as soon as the final stage can produce it,
-// and abandoning the stream early skips the rest of the final stage
-// entirely. The task counters mark the final task started at compute and
-// completed only on exhaustion; a truncated stream leaves it incomplete.
+// lazyNext serves the lazy path. Each partition is a task like a pool
+// task: it hits faultpoint.TaskStart, counts as started when computed and
+// as completed only on exhaustion (a truncated stream leaves it
+// incomplete), and a panic anywhere in its operator chain is contained
+// into the stream's terminal error instead of unwinding into caller code.
 func (s *RowStream) lazyNext() (row sqltypes.Row, err error) {
-	// The final stage runs on the consumer's goroutine, so a panic in the
-	// operator chain would otherwise unwind into caller code: contain it
-	// here like any other task and pin it as the stream's terminal error.
 	defer func() {
 		if r := recover(); r != nil {
 			perr := AsTaskPanic(r)
@@ -225,49 +229,66 @@ func (s *RowStream) lazyNext() (row sqltypes.Row, err error) {
 	if s.finished {
 		return nil, s.takeFinishedErr()
 	}
-	if s.lazyIter == nil {
-		if err := s.c.ensureShuffles(s.ctx, s.r, map[int]bool{}); err != nil {
-			s.finishWithErr(err)
-			return nil, err
+	for {
+		if s.lazyIter == nil {
+			if s.nextPart == s.r.NumPartitions() {
+				s.finish()
+				return nil, nil
+			}
+			if err := s.openPart(); err != nil {
+				s.finishWithErr(err)
+				return nil, err
+			}
 		}
-		s.c.tasksStarted.Add(1)
-		qs := obs.FromContext(s.ctx)
-		qs.TaskStarted()
-		if err := faultpoint.Hit(faultpoint.TaskStart); err != nil {
-			err = fmt.Errorf("rdd: partition 0 of rdd %d: %w", s.r.ID(), err)
-			s.finishWithErr(err)
-			return nil, err
+		if s.lazyCount%1024 == 0 {
+			if err := s.ctx.Err(); err != nil {
+				err = s.takeErr()
+				s.finishWithErr(err)
+				return nil, err
+			}
 		}
-		tc := &TaskContext{Ctx: s.c, Partition: 0, ctx: s.ctx}
-		it, err := s.r.Compute(tc, 0)
+		row, err = s.lazyIter.Next()
 		if err != nil {
-			err = fmt.Errorf("rdd: partition 0 of rdd %d: %w", s.r.ID(), err)
 			s.finishWithErr(err)
 			return nil, err
 		}
-		qs.Event("merge start", 0, 0)
-		s.lazyIter = it
-	}
-	if s.lazyCount%1024 == 0 {
-		if err := s.ctx.Err(); err != nil {
-			err = s.takeErr()
-			s.finishWithErr(err)
-			return nil, err
+		if row != nil {
+			s.lazyCount++
+			return row, nil
 		}
-	}
-	row, err = s.lazyIter.Next()
-	if err != nil {
-		s.finishWithErr(err)
-		return nil, err
-	}
-	if row == nil {
 		s.c.tasksCompleted.Add(1)
 		obs.FromContext(s.ctx).TaskFinished()
-		s.finish()
-		return nil, nil
+		s.lazyIter = nil
+		s.nextPart++
 	}
-	s.lazyCount++
-	return row, nil
+}
+
+// openPart starts the lazy path's next partition task: the job's shuffle
+// stages before the first partition, then the cancellation check, the
+// task-start fault point and Compute.
+func (s *RowStream) openPart() error {
+	p := s.nextPart
+	if p == 0 {
+		if err := s.c.ensureShuffles(s.ctx, s.r, map[int]bool{}); err != nil {
+			return err
+		}
+	}
+	if s.ctx.Err() != nil {
+		return s.takeErr()
+	}
+	s.c.tasksStarted.Add(1)
+	qs := obs.FromContext(s.ctx)
+	qs.TaskStarted()
+	if err := faultpoint.Hit(faultpoint.TaskStart); err != nil {
+		return fmt.Errorf("rdd: partition %d of rdd %d: %w", p, s.r.ID(), err)
+	}
+	it, err := s.r.Compute(&TaskContext{Ctx: s.c, Partition: p, ctx: s.ctx}, p)
+	if err != nil {
+		return fmt.Errorf("rdd: partition %d of rdd %d: %w", p, s.r.ID(), err)
+	}
+	qs.Event("task start", p, 0)
+	s.lazyIter = it
+	return nil
 }
 
 func (s *RowStream) takeFinishedErr() error {

@@ -293,10 +293,11 @@ type RowsHolder interface {
 
 // AppendRow appends r to rows, doubling the capacity when it is full
 // rather than taking append's 1.25x step for large slices, which copies a
-// long materialization about five times over.
+// long materialization about five times over. The first row gets 4
+// slots, so a one-row short read does not pay for a large slice.
 func AppendRow(rows []Row, r Row) []Row {
 	if len(rows) == cap(rows) {
-		rows = append(make([]Row, 0, max(2*cap(rows), 64)), rows...)
+		rows = append(make([]Row, 0, max(2*cap(rows), 4)), rows...)
 	}
 	return append(rows, r)
 }

@@ -3,6 +3,7 @@ package sqltypes
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -490,5 +491,26 @@ func TestRowHelpersAndSliceIter(t *testing.T) {
 	}
 	if r.String() != "[1, x]" {
 		t.Errorf("Row.String() = %q", r.String())
+	}
+}
+
+// TestAppendRowGrowth: the first row gets 4 slots, not a large slice, and
+// the capacity then doubles, keeping every row in order.
+func TestAppendRowGrowth(t *testing.T) {
+	var rows []Row
+	var caps []int
+	for i := 0; i < 20; i++ {
+		rows = AppendRow(rows, Row{NewInt64(int64(i))})
+		if len(caps) == 0 || caps[len(caps)-1] != cap(rows) {
+			caps = append(caps, cap(rows))
+		}
+	}
+	if want := []int{4, 8, 16, 32}; !slices.Equal(caps, want) {
+		t.Fatalf("capacities %v, want %v", caps, want)
+	}
+	for i, r := range rows {
+		if r[0].Int64Val() != int64(i) {
+			t.Fatalf("row %d = %v", i, r)
+		}
 	}
 }

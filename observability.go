@@ -178,6 +178,9 @@ type queryMeta struct {
 	// fullLimit runs a root LIMIT as the full global-limit plan instead of
 	// truncating at the cursor; EXPLAIN ANALYZE sets it.
 	fullLimit bool
+	// inline runs every job of the query on the caller's goroutine
+	// (Session.runsInline).
+	inline bool
 }
 
 // finishQuery settles a finished cursor's accounting: registry counters,

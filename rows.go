@@ -15,9 +15,12 @@ import (
 
 // Rows is a streaming query cursor in the database/sql style: rows are
 // pulled partition-at-a-time from the engine (batch-at-a-time inside
-// vectorized subtrees) while the remaining partition tasks execute in the
-// background, so the first row is available long before the job finishes
-// and a Close mid-stream stops the remaining work.
+// vectorized subtrees) while the remaining partition tasks execute on the
+// task pool, so the first row is available long before the job finishes
+// and a Close mid-stream stops the remaining work. A point plan (every
+// leaf an index lookup: the short reads) runs inline instead: each Next
+// computes rows on the caller's goroutine, partition after partition, and
+// the query starts no worker goroutine at all.
 //
 //	rows, err := df.Query(ctx)
 //	if err != nil { ... }
@@ -288,6 +291,12 @@ func (s *Session) queryExecMeta(ctx context.Context, exec physical.Exec, meta qu
 	qs := obs.NewQueryStats(queryID, meta.sql, s.tracer)
 	qs.ParseNs, qs.PlanNs, qs.CacheHit = meta.parseNs, meta.planNs, meta.cacheHit
 	ctx = obs.WithQuery(ctx, qs)
+	if meta.inline {
+		// A point plan: its broadcast sub-jobs, shuffle map stages and
+		// final stage all run on this goroutine (rdd.WithInline).
+		ctx = rdd.WithInline(ctx)
+		qs.Inline = true
+	}
 	if meta.cacheHit {
 		qs.Event("plan cache hit", -1, 0)
 	} else {
@@ -353,9 +362,9 @@ func (s *Session) queryExecMeta(ctx context.Context, exec physical.Exec, meta qu
 // queryNode compiles a logical plan and starts it as a cursor.
 func (s *Session) queryNode(ctx context.Context, n plan.Node) (*Rows, error) {
 	t0 := time.Now()
-	exec, err := s.compile(n)
+	exec, inline, err := s.compile(n)
 	if err != nil {
 		return nil, err
 	}
-	return s.queryExecMeta(ctx, exec, queryMeta{planNs: time.Since(t0).Nanoseconds()})
+	return s.queryExecMeta(ctx, exec, queryMeta{planNs: time.Since(t0).Nanoseconds(), inline: inline})
 }

@@ -335,16 +335,28 @@ func (s *Session) anonName(prefix string) string {
 func (s *Session) frame(n plan.Node) *DataFrame { return &DataFrame{sess: s, node: n} }
 
 // compile runs the full Catalyst-style pipeline: analyze, optimize, plan.
-func (s *Session) compile(n plan.Node) (physical.Exec, error) {
+// inline reports whether the plan runs on the caller's goroutine
+// (runsInline).
+func (s *Session) compile(n plan.Node) (exec physical.Exec, inline bool, err error) {
 	analyzed, err := opt.Analyze(n)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	optimized, err := s.planner.Optimize(analyzed)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return s.planner.Plan(optimized)
+	if exec, err = s.planner.Plan(optimized); err != nil {
+		return nil, false, err
+	}
+	return exec, s.runsInline(exec), nil
+}
+
+// runsInline reports whether the session runs exec inline — every job of
+// the query on the caller's goroutine, with no task pool: a point plan,
+// unless the NoInline ablation sends it back to the pool.
+func (s *Session) runsInline(exec physical.Exec) bool {
+	return !s.ablate.Has(opt.NoInline) && physical.IsPointPlan(exec)
 }
 
 // execute compiles and runs a plan to completion, returning all rows — a

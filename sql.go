@@ -121,10 +121,10 @@ func (s *Session) Query(ctx context.Context, query string) (*Rows, error) {
 	}
 	parseNs := time.Since(t0).Nanoseconds()
 	t1 := time.Now()
-	exec, err := s.compile(df.node)
+	exec, inline, err := s.compile(df.node)
 	if err != nil {
 		return nil, err
 	}
 	return s.queryExecMeta(ctx, exec, queryMeta{
-		sql: query, parseNs: parseNs, planNs: time.Since(t1).Nanoseconds()})
+		sql: query, parseNs: parseNs, planNs: time.Since(t1).Nanoseconds(), inline: inline})
 }

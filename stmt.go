@@ -67,12 +67,12 @@ func (s *Session) prepareEntry(key string) (ent *planEntry, hit bool, err error)
 	if stmt.Kind != sqlparser.StmtSelect {
 		return nil, false, fmt.Errorf("indexeddf: only SELECT statements can be prepared")
 	}
-	exec, err := s.compile(stmt.Select)
+	exec, inline, err := s.compile(stmt.Select)
 	if err != nil {
 		return nil, false, err
 	}
 	ent = &planEntry{exec: exec, schema: exec.Schema(), numParams: stmt.NumParams,
-		tables: physical.ReferencedTables(exec)}
+		inline: inline, tables: physical.ReferencedTables(exec)}
 	s.plans.putAt(key, ent, gen)
 	return ent, false, nil
 }
@@ -124,7 +124,7 @@ func (st *Stmt) Query(ctx context.Context, args ...any) (*Rows, error) {
 		}
 	}
 	return st.sess.queryExecMeta(ctx, ent.exec, queryMeta{
-		sql: st.sql, args: vals, cacheHit: hit, planNs: time.Since(t0).Nanoseconds()})
+		sql: st.sql, args: vals, cacheHit: hit, planNs: time.Since(t0).Nanoseconds(), inline: ent.inline})
 }
 
 // Collect executes the statement and materializes every row — Query plus a
@@ -185,6 +185,9 @@ type planEntry struct {
 	exec      physical.Exec
 	schema    *sqltypes.Schema
 	numParams int
+	// inline marks a point plan run on the caller's goroutine
+	// (Session.runsInline).
+	inline bool
 	// tables are the catalog names the compiled plan reads (base tables,
 	// indexed tables and materialized views) — the invalidation key.
 	tables []string
