@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"indexeddf/internal/catalog"
 	"indexeddf/internal/core"
@@ -26,13 +25,14 @@ type DataFrame struct {
 // Plan exposes the DataFrame's logical plan.
 func (df *DataFrame) Plan() plan.Node { return df.node }
 
-// Schema analyzes the plan and returns its output schema.
+// Schema compiles the plan (through the plan cache) and returns its
+// output schema.
 func (df *DataFrame) Schema() (*sqltypes.Schema, error) {
-	analyzed, err := opt.Analyze(df.node)
+	ent, _, _, err := df.sess.prepare(df.node, nil)
 	if err != nil {
 		return nil, err
 	}
-	return analyzed.Schema(), nil
+	return ent.schema, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -278,7 +278,7 @@ func (df *DataFrame) As(alias string) (*DataFrame, error) {
 // tasks, shuffle stages and index scans promptly; the reason surfaces from
 // Rows.Err().
 func (df *DataFrame) Query(ctx context.Context) (*Rows, error) {
-	return df.sess.queryNode(ctx, df.node)
+	return df.sess.run(ctx, df.node, nil, queryMeta{})
 }
 
 // Collect executes the plan and returns all rows — Query under
@@ -289,7 +289,11 @@ func (df *DataFrame) Collect() ([]sqltypes.Row, error) {
 
 // CollectContext is Collect under a cancellation context.
 func (df *DataFrame) CollectContext(ctx context.Context) ([]sqltypes.Row, error) {
-	return df.sess.executeCtx(ctx, df.node)
+	rows, err := df.Query(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return drainRows(rows)
 }
 
 // Count executes the plan and returns the row count, streaming the cursor
@@ -342,54 +346,42 @@ func (df *DataFrame) Show(n int) (string, error) {
 	return renderTable(schema, rows), nil
 }
 
-// Explain returns the logical, optimized and physical plans.
+// Explain returns the logical, optimized and physical plans. They are the
+// plans the query runs, from the plan cache; a literal prints as its
+// value, and a `?` as ?N.
 func (df *DataFrame) Explain() (string, error) {
-	analyzed, err := opt.Analyze(df.node)
-	if err != nil {
-		return "", err
-	}
-	optimized, err := df.sess.planner.Optimize(analyzed)
-	if err != nil {
-		return "", err
-	}
-	exec, err := df.sess.planner.Plan(optimized)
+	ent, args, _, err := df.sess.prepare(df.node, nil)
 	if err != nil {
 		return "", err
 	}
 	var sb strings.Builder
 	sb.WriteString("== Analyzed Logical Plan ==\n")
-	sb.WriteString(plan.TreeString(analyzed))
+	sb.WriteString(plan.TreeString(ent.analyzed))
 	sb.WriteString("== Optimized Logical Plan ==\n")
-	sb.WriteString(plan.TreeString(optimized))
-	if df.sess.runsInline(exec) {
+	sb.WriteString(plan.TreeString(ent.optimized))
+	if ent.inline {
 		sb.WriteString("== Physical Plan (inline) ==\n")
 	} else {
 		sb.WriteString("== Physical Plan ==\n")
 	}
-	sb.WriteString(physical.TreeString(exec))
-	if views := opt.AnsweredFromView(exec); len(views) > 0 {
+	sb.WriteString(physical.TreeString(ent.exec))
+	if views := opt.AnsweredFromView(ent.exec); len(views) > 0 {
 		sb.WriteString("== Materialized Views ==\n")
 		for _, v := range views {
 			fmt.Fprintf(&sb, "answered from materialized view %q (base %s, version %d, delta-maintained)\n",
 				v.Name(), v.BaseName(), v.RefreshedVersion())
 		}
 	}
-	return sb.String(), nil
+	return expr.FormatArgs(sb.String(), args), nil
 }
 
-// ExplainAnalyze compiles the plan, executes it to completion under ctx,
-// and returns the physical plan annotated with the actuals recorded during
-// that execution — rows, batches, predicate selectivity, wall time and
-// memory per operator, plus a query-level summary (tasks, shuffle bytes,
-// peak memory). The result rows are drained and discarded.
+// ExplainAnalyze executes the plan to completion under ctx and returns the
+// physical plan annotated with the actuals recorded during that execution
+// — rows, batches, predicate selectivity, wall time and memory per
+// operator, plus a query-level summary (tasks, shuffle bytes, peak
+// memory). The result rows are drained and discarded.
 func (df *DataFrame) ExplainAnalyze(ctx context.Context) (string, error) {
-	t0 := time.Now()
-	exec, inline, err := df.sess.compile(df.node)
-	if err != nil {
-		return "", err
-	}
-	rows, err := df.sess.queryExecMeta(ctx, exec, queryMeta{
-		planNs: time.Since(t0).Nanoseconds(), fullLimit: true, inline: inline})
+	rows, err := df.sess.run(ctx, df.node, nil, queryMeta{fullLimit: true})
 	if err != nil {
 		return "", err
 	}

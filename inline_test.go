@@ -120,10 +120,11 @@ func TestPointPlanShapes(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, inline, err := s.compile(c.df.Plan())
+			ent, _, _, err := s.prepare(c.df.Plan(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			inline := ent.inline
 			plan, err := c.df.Explain()
 			if err != nil {
 				t.Fatal(err)
@@ -137,8 +138,8 @@ func TestPointPlanShapes(t *testing.T) {
 		})
 	}
 	pooled := newSession(Config{TablePartitions: 4}, opt.NoInline)
-	if _, inline, err := pooled.compile(newShortReads(t, pooled, 100, 10).is3(7).Plan()); err != nil || inline {
-		t.Fatalf("NoInline: inline = %v, %v", inline, err)
+	if ent, _, _, err := pooled.prepare(newShortReads(t, pooled, 100, 10).is3(7).Plan(), nil); err != nil || ent.inline {
+		t.Fatalf("NoInline: %v", err)
 	}
 }
 

@@ -104,6 +104,18 @@ func (r *ViewRegistry) List() []MaterializedView {
 	return out
 }
 
+// HasBase reports whether any view is maintained over base.
+func (r *ViewRegistry) HasBase(base *core.IndexedTable) bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, v := range r.views {
+		if v.Base() == base {
+			return true
+		}
+	}
+	return false
+}
+
 // ForBase returns the views maintained over base, sorted by name.
 func (r *ViewRegistry) ForBase(base *core.IndexedTable) []MaterializedView {
 	var out []MaterializedView

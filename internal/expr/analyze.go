@@ -7,28 +7,28 @@ import (
 )
 
 // Transform rewrites the tree bottom-up: children first, then fn on the
-// rebuilt node.
+// rebuilt node. A node none of whose children changed is passed to fn as
+// itself, and a walk that changes nothing allocates nothing.
 func Transform(e Expr, fn func(Expr) (Expr, error)) (Expr, error) {
 	children := e.Children()
-	if len(children) > 0 {
-		newChildren := make([]Expr, len(children))
-		changed := false
-		for i, c := range children {
-			nc, err := Transform(c, fn)
-			if err != nil {
-				return nil, err
-			}
-			newChildren[i] = nc
-			if nc != c {
-				changed = true
-			}
+	var newChildren []Expr // allocated at the first changed child
+	for i, c := range children {
+		nc, err := Transform(c, fn)
+		if err != nil {
+			return nil, err
 		}
-		if changed {
-			var err error
-			e, err = e.WithChildren(newChildren)
-			if err != nil {
-				return nil, err
-			}
+		if nc != c && newChildren == nil {
+			newChildren = make([]Expr, len(children))
+			copy(newChildren, children[:i])
+		}
+		if newChildren != nil {
+			newChildren[i] = nc
+		}
+	}
+	if newChildren != nil {
+		var err error
+		if e, err = e.WithChildren(newChildren); err != nil {
+			return nil, err
 		}
 	}
 	return fn(e)

@@ -20,7 +20,8 @@ type Expr interface {
 	Type() sqltypes.Type
 	// Resolved reports whether all column references are bound.
 	Resolved() bool
-	// Children returns the node's sub-expressions.
+	// Children returns the node's sub-expressions. The slice may be the
+	// node's own: callers must not modify it.
 	Children() []Expr
 	// WithChildren rebuilds the node with new children (same arity).
 	WithChildren(children []Expr) (Expr, error)
@@ -31,9 +32,9 @@ type Expr interface {
 // ---------------------------------------------------------------------------
 // Literal
 
-// Literal is a constant value. T types a NULL bound into a typed
-// placeholder slot (see Param.Bind); every other literal has its value's
-// type.
+// Literal is a constant value. T types a NULL that analysis typed from
+// its comparison or arithmetic partner, directly or as the NULL argument
+// of a typed slot (Param.Bind); every other literal has its value's type.
 type Literal struct {
 	V sqltypes.Value
 	T sqltypes.Type
@@ -143,26 +144,28 @@ func (op CmpOp) String() string {
 }
 
 // Cmp is a binary comparison with SQL NULL semantics (NULL operand yields
-// NULL).
+// NULL). Build it with NewCmp: kids holds L and R for Children, so
+// walking a comparison allocates nothing.
 type Cmp struct {
 	Op   CmpOp
 	L, R Expr
+	kids [2]Expr
 }
 
 // NewCmp builds a comparison.
-func NewCmp(op CmpOp, l, r Expr) *Cmp { return &Cmp{Op: op, L: l, R: r} }
+func NewCmp(op CmpOp, l, r Expr) *Cmp { return &Cmp{Op: op, L: l, R: r, kids: [2]Expr{l, r}} }
 
 func (c *Cmp) String() string {
 	return fmt.Sprintf("(%s %s %s)", c.L, c.Op, c.R)
 }
 func (c *Cmp) Type() sqltypes.Type { return sqltypes.Bool }
 func (c *Cmp) Resolved() bool      { return c.L.Resolved() && c.R.Resolved() }
-func (c *Cmp) Children() []Expr    { return []Expr{c.L, c.R} }
+func (c *Cmp) Children() []Expr    { return c.kids[:] }
 func (c *Cmp) WithChildren(ch []Expr) (Expr, error) {
 	if len(ch) != 2 {
 		return nil, fmt.Errorf("expr: comparison takes 2 children")
 	}
-	return &Cmp{Op: c.Op, L: ch[0], R: ch[1]}, nil
+	return NewCmp(c.Op, ch[0], ch[1]), nil
 }
 func (c *Cmp) Eval(row sqltypes.Row) (sqltypes.Value, error) {
 	l, err := c.L.Eval(row)

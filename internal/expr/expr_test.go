@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -280,49 +281,34 @@ func TestEqualityWithKeyConst(t *testing.T) {
 	}
 }
 
-// TestParamBind pins how an argument fills its slot: exact numeric
-// conversions take the slot's type, a wider number stays as given in a
-// comparison but not in arithmetic (whose result type the slot fixed),
-// NULL keeps the slot's type, and another family is an error.
+// TestParamBind pins how an argument fills its slot: the plan was
+// compiled for the argument's own type, so the value goes in as given,
+// NULL included; a slot past the arguments is unbound. A lifted slot
+// renders as a mark that FormatArgs turns back into the value, while a
+// user's `?N` renders as itself.
 func TestParamBind(t *testing.T) {
-	i64 := &Param{Index: 0, T: sqltypes.Int64}
-	i32Arith := &Param{Index: 0, T: sqltypes.Int32, Exact: true}
-	cases := []struct {
-		p        *Param
-		arg      sqltypes.Value
-		want     sqltypes.Value
-		wantType sqltypes.Type
-		err      string
-	}{
-		{i64, sqltypes.NewInt64(5), sqltypes.NewInt64(5), sqltypes.Int64, ""},
-		{i64, sqltypes.NewFloat64(2), sqltypes.NewInt64(2), sqltypes.Int64, ""},
-		{i64, sqltypes.NewFloat64(2.5), sqltypes.NewFloat64(2.5), sqltypes.Float64, ""},
-		{i64, sqltypes.Null, sqltypes.Null, sqltypes.Int64, ""},
-		{i64, sqltypes.NewTimestamp(9), sqltypes.NewTimestamp(9), sqltypes.Timestamp, ""},
-		{i64, sqltypes.NewString("abc"), sqltypes.Null, 0, "argument 1 is STRING, but ?1 takes BIGINT"},
-		{i32Arith, sqltypes.NewInt64(7), sqltypes.NewInt32(7), sqltypes.Int32, ""},
-		{i32Arith, sqltypes.NewFloat64(1.5), sqltypes.Null, 0, "argument 1 is DOUBLE, but ?1 takes INT"},
-		{i32Arith, sqltypes.NewInt64(1 << 40), sqltypes.Null, 0, "argument 1 is BIGINT, but ?1 takes INT"},
-		{NewParam(0), sqltypes.NewString("x"), sqltypes.NewString("x"), sqltypes.String, ""},
-	}
-	for _, c := range cases {
-		got, err := c.p.Bind([]sqltypes.Value{c.arg})
-		if c.err != "" {
-			if err == nil || err.Error() != "expr: "+c.err {
-				t.Errorf("%s <- %s: err = %v, want %q", c.p, c.arg, err, c.err)
-			}
-			continue
-		}
+	args := []sqltypes.Value{sqltypes.NewInt64(5), sqltypes.NewFloat64(2.5), sqltypes.Null, sqltypes.NewString("o'x")}
+	for i, want := range args {
+		p := &Param{Index: i, T: want.T}
+		got, err := p.Bind(args)
 		if err != nil {
-			t.Fatalf("%s <- %s: %v", c.p, c.arg, err)
+			t.Fatal(err)
 		}
-		lit := got.(*Literal)
-		if lit.V != c.want || lit.Type() != c.wantType {
-			t.Errorf("%s <- %s: got %s (%s), want %s (%s)", c.p, c.arg, lit.V, lit.Type(), c.want, c.wantType)
+		if lit := got.(*Literal); lit.V != want {
+			t.Errorf("%s <- %s: got %s", p, want, lit.V)
 		}
 	}
-	if _, err := i64.Bind(nil); err == nil {
-		t.Error("placeholder bound without an argument")
+	if _, err := NewParam(4).Bind(args); err == nil || !strings.Contains(err.Error(), "unbound parameter ?5") {
+		t.Errorf("slot past the arguments: err = %v", err)
+	}
+	e := And(NewCmp(Lt, C("a"), &Param{Index: 1, T: sqltypes.Float64, Lifted: true}),
+		NewCmp(Eq, C("s"), &Param{Index: 3, T: sqltypes.String, Lifted: true}))
+	e = And(e, NewCmp(Gt, C("b"), NewParam(0)))
+	if got, want := FormatArgs(e.String(), args), "(((a < 2.5) AND (s = 'o'x')) AND (b > ?1))"; got != want {
+		t.Errorf("FormatArgs = %q, want %q", got, want)
+	}
+	if s := "(a < 1)"; FormatArgs(s, nil) != s {
+		t.Error("FormatArgs changed a string with no lifted slot")
 	}
 }
 

@@ -2,34 +2,44 @@ package expr
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"indexeddf/internal/sqltypes"
 )
 
-// Param is a prepared-statement placeholder (`?` in SQL), identified by its
-// 0-based position in the statement. It binds no column, so it reports
-// Resolved and survives analysis, which types it from the comparison or
-// arithmetic that holds it. Plans keep the placeholder; each execution
-// substitutes its argument (Bind), and evaluating an unbound parameter is
-// an error.
+// Param is an argument slot, identified by its 0-based position in the
+// execution's argument list. A user's `?` is a Param, and so is every
+// literal the session lifts out of a plan before looking it up in the
+// plan cache (Lifted). Its type is its argument's type, fixed when the
+// plan is compiled for that argument-type tuple; a `?` bound to NULL is
+// typed by analysis, as a NULL literal is. It binds no column, so
+// it reports Resolved and survives analysis. Plans keep the slot; each
+// execution substitutes its argument (Bind), and evaluating an unbound
+// parameter is an error.
 type Param struct {
 	Index int
-	// T is the slot's type, taken from the placeholder's partner operand;
-	// Unknown when nothing types it (the plan then runs it on rows).
-	T sqltypes.Type
-	// Exact marks an operand of arithmetic whose type reaches an output
-	// column (a projection, grouping key or aggregate argument): that
-	// column's type was fixed from T at planning, so the argument must
-	// convert to T without loss. Any other slot — a comparison operand, or
-	// arithmetic in a predicate or sort key — keeps a wider numeric
-	// argument as given, as an ad-hoc literal would be.
-	Exact bool
+	T     sqltypes.Type
+	// Lifted marks a slot that stands for one of the plan's own literals
+	// rather than a user's `?`: rendered plans print its value
+	// (FormatArgs), not a placeholder.
+	Lifted bool
 }
 
 // NewParam builds the placeholder for 0-based position index.
 func NewParam(index int) *Param { return &Param{Index: index} }
 
-func (p *Param) String() string      { return fmt.Sprintf("?%d", p.Index+1) }
+// liftedMark brackets a lifted slot's index in a rendered plan until
+// FormatArgs replaces it with the argument's value. It cannot occur in an
+// identifier, and a kept literal would need a NUL byte to forge one.
+const liftedMark = '\x00'
+
+func (p *Param) String() string {
+	if p.Lifted {
+		return string(liftedMark) + strconv.Itoa(p.Index) + string(liftedMark)
+	}
+	return fmt.Sprintf("?%d", p.Index+1)
+}
 func (p *Param) Type() sqltypes.Type { return p.T }
 func (p *Param) Resolved() bool      { return true }
 func (p *Param) Children() []Expr    { return nil }
@@ -43,33 +53,49 @@ func (p *Param) Eval(sqltypes.Row) (sqltypes.Value, error) {
 	return sqltypes.Null, fmt.Errorf("expr: unbound parameter ?%d (execute via a prepared statement)", p.Index+1)
 }
 
-// Bind returns the literal standing for p's argument in args. A NULL
-// argument stays typed as the slot, so a kernel compiled around the slot
-// still compiles (as an all-NULL constant); a numeric argument converts to
-// a numeric slot when the conversion is exact. An argument that cannot
-// compare with its slot's type is an error naming both types.
+// Bind returns the literal standing for p's argument in args. The plan
+// was compiled for the argument's type, so the value goes in as given; a
+// NULL keeps the type analysis gave its slot, so a kernel compiled around
+// the slot still compiles (as an all-NULL constant).
 func (p *Param) Bind(args []sqltypes.Value) (Expr, error) {
 	if p.Index >= len(args) {
 		_, err := p.Eval(nil)
 		return nil, err
 	}
-	v := args[p.Index]
-	switch {
-	case v.IsNull():
-		return &Literal{T: p.T}, nil
-	case p.T == sqltypes.Unknown || v.T == p.T:
-		return Lit(v), nil
-	case v.T.Numeric() && p.T.Numeric():
-		if c, err := v.Cast(p.T); err == nil && sqltypes.Compare(c, v) == 0 {
-			return Lit(c), nil
-		}
-		if !p.Exact {
-			return Lit(v), nil
-		}
-	case sqltypes.Comparable(v.T, p.T):
+	if v := args[p.Index]; !v.IsNull() {
 		return Lit(v), nil
 	}
-	return nil, fmt.Errorf("expr: argument %d is %s, but ?%d takes %s", p.Index+1, v.T, p.Index+1, p.T)
+	return &Literal{T: p.T}, nil
+}
+
+// FormatArgs renders a plan string for one execution: every lifted slot
+// printed by Param.String becomes its argument's literal, so a lifted
+// literal reads as the value it was. A user's `?N` stays as it is.
+func FormatArgs(s string, args []sqltypes.Value) string {
+	if strings.IndexByte(s, liftedMark) < 0 {
+		return s
+	}
+	var sb strings.Builder
+	for {
+		i := strings.IndexByte(s, liftedMark)
+		if i < 0 {
+			break
+		}
+		j := strings.IndexByte(s[i+1:], liftedMark)
+		if j < 0 {
+			break
+		}
+		sb.WriteString(s[:i])
+		mark := s[i : i+j+2]
+		if n, err := strconv.Atoi(mark[1 : len(mark)-1]); err == nil && n < len(args) {
+			sb.WriteString(Lit(args[n]).String())
+		} else {
+			sb.WriteString(mark)
+		}
+		s = s[i+j+2:]
+	}
+	sb.WriteString(s)
+	return sb.String()
 }
 
 // EqualityWithKeyConst recognizes the shapes the index-aware rules accept

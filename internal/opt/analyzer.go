@@ -27,7 +27,7 @@ func Analyze(n plan.Node) (plan.Node, error) {
 			}
 			bound := make([]expr.Expr, len(t.Exprs))
 			for i, e := range t.Exprs {
-				b, err := bindExpr(e, child, true)
+				b, err := bindExpr(e, child)
 				if err != nil {
 					return nil, err
 				}
@@ -39,7 +39,7 @@ func Analyze(n plan.Node) (plan.Node, error) {
 			if child == nil {
 				return nil, fmt.Errorf("opt: filter over unresolved child")
 			}
-			b, err := bindExpr(t.Cond, child, false)
+			b, err := bindExpr(t.Cond, child)
 			if err != nil {
 				return nil, err
 			}
@@ -55,7 +55,7 @@ func Analyze(n plan.Node) (plan.Node, error) {
 			if js == nil {
 				return nil, fmt.Errorf("opt: join over unresolved children")
 			}
-			b, err := bindExpr(t.Cond, js, false)
+			b, err := bindExpr(t.Cond, js)
 			if err != nil {
 				return nil, err
 			}
@@ -67,7 +67,7 @@ func Analyze(n plan.Node) (plan.Node, error) {
 			}
 			groups := make([]expr.Expr, len(t.Groups))
 			for i, g := range t.Groups {
-				b, err := bindExpr(g, child, true)
+				b, err := bindExpr(g, child)
 				if err != nil {
 					return nil, err
 				}
@@ -77,14 +77,11 @@ func Analyze(n plan.Node) (plan.Node, error) {
 			for i, a := range t.Aggs {
 				aggs[i] = a
 				if a.Arg != nil {
-					b, err := bindExpr(a.Arg, child, true)
+					b, err := bindExpr(a.Arg, child)
 					if err != nil {
 						return nil, err
 					}
 					aggs[i].Arg = b
-					if err := checkAggArgTyped(aggs[i]); err != nil {
-						return nil, err
-					}
 				}
 			}
 			return plan.NewAggregate(groups, aggs, t.Child), nil
@@ -95,7 +92,7 @@ func Analyze(n plan.Node) (plan.Node, error) {
 			}
 			orders := make([]plan.SortOrder, len(t.Orders))
 			for i, o := range t.Orders {
-				b, err := bindExpr(o.Expr, child, false)
+				b, err := bindExpr(o.Expr, child)
 				if err != nil {
 					return nil, err
 				}
@@ -127,90 +124,63 @@ func Analyze(n plan.Node) (plan.Node, error) {
 }
 
 // bindExpr binds e against schema unless it is already resolved, then
-// types its placeholders (typeParams). output says whether e's type
-// reaches an output column (a projection, grouping key or aggregate
-// argument) rather than only a predicate or sort key.
-func bindExpr(e expr.Expr, schema *sqltypes.Schema, output bool) (expr.Expr, error) {
+// types its untyped NULLs and checks its comparisons (typeNulls).
+func bindExpr(e expr.Expr, schema *sqltypes.Schema) (expr.Expr, error) {
 	if !e.Resolved() {
 		var err error
 		if e, err = expr.Bind(e, schema); err != nil {
 			return nil, err
 		}
 	}
-	return typeParams(e, output)
+	return typeNulls(e)
 }
 
-// typeParams gives each `?` that is an operand of a comparison or of
-// arithmetic its partner's type — go-mysql-server's rule that a
-// placeholder takes its type hint from its parent — so prepared plans
-// vectorize as their ad-hoc twins do. IN lists and BETWEEN arrive lowered
-// to those two nodes. An untyped NULL literal is typed the same way, so
-// `val < NULL` plans as its prepared twin with a NULL argument. A `?` in
-// arithmetic whose type reaches an output column (exact) is marked Exact:
-// that column's type is fixed here, so the argument may not widen it.
-// Below a comparison the result is a boolean whatever the operand types,
-// and operators compile their kernels from the bound expression. It also
-// rejects a comparison whose operand types share no family
+// typeNulls gives each untyped NULL that is an operand of a comparison or
+// of arithmetic its partner's type (go-mysql-server's rule that an untyped
+// operand takes its type hint from its parent), so `val < NULL` compiles
+// to a typed kernel. An untyped NULL is a NULL literal, or a `?` whose
+// argument is NULL or not given; every other `?` has its argument's type.
+// IN lists and BETWEEN arrive lowered to those two nodes. It also rejects
+// a comparison whose operand types share no family
 // (sqltypes.Comparable): Compare would read a payload lane the other value
 // never set.
-func typeParams(e expr.Expr, exact bool) (expr.Expr, error) {
-	_, isCmp := e.(*expr.Cmp)
-	kids := e.Children()
-	typed := make([]expr.Expr, len(kids))
-	changed := false
-	for i, k := range kids {
-		var err error
-		if typed[i], err = typeParams(k, exact && !isCmp); err != nil {
-			return nil, err
+func typeNulls(e expr.Expr) (expr.Expr, error) {
+	return expr.Transform(e, func(n expr.Expr) (expr.Expr, error) {
+		switch t := n.(type) {
+		case *expr.Cmp:
+			l, r := hint(t.L, t.R), hint(t.R, t.L)
+			if !sqltypes.Comparable(l.Type(), r.Type()) {
+				return nil, compareError(l, r)
+			}
+			if l != t.L || r != t.R {
+				return expr.NewCmp(t.Op, l, r), nil
+			}
+		case *expr.Arith:
+			if l, r := hint(t.L, t.R), hint(t.R, t.L); l != t.L || r != t.R {
+				return expr.NewArith(t.Op, l, r), nil
+			}
 		}
-		changed = changed || typed[i] != k
-	}
-	if changed {
-		var err error
-		if e, err = e.WithChildren(typed); err != nil {
-			return nil, err
-		}
-	}
-	switch t := e.(type) {
-	case *expr.Cmp:
-		l, r := hint(t.L, t.R, false), hint(t.R, t.L, false)
-		if !sqltypes.Comparable(l.Type(), r.Type()) {
-			return nil, fmt.Errorf("opt: cannot compare %s (%s) with %s (%s)", l, l.Type(), r, r.Type())
-		}
-		if l != t.L || r != t.R {
-			return expr.NewCmp(t.Op, l, r), nil
-		}
-	case *expr.Arith:
-		if l, r := hint(t.L, t.R, exact), hint(t.R, t.L, exact); l != t.L || r != t.R {
-			return expr.NewArith(t.Op, l, r), nil
-		}
-	}
-	return e, nil
-}
-
-// checkAggArgTyped rejects a SUM, MIN or MAX whose argument holds a `?`
-// that nothing typed: the aggregate's result type, fixed here for the
-// plan's schemas, would follow each execution's argument.
-func checkAggArgTyped(a expr.Agg) error {
-	untyped := false
-	expr.Walk(a.Arg, func(n expr.Expr) bool {
-		p, ok := n.(*expr.Param)
-		untyped = untyped || ok && p.T == sqltypes.Unknown
-		return true
+		return n, nil
 	})
-	if untyped && a.Arg.Type() == sqltypes.Unknown && a.Func != expr.CountAgg && a.Func != expr.AvgAgg {
-		return fmt.Errorf("opt: cannot determine the type of the placeholder in %s; cast it, e.g. CAST(? AS DOUBLE)", a)
-	}
-	return nil
 }
 
-// hint types e from its partner when e is a still-untyped placeholder or
-// NULL literal.
-func hint(e, partner expr.Expr, exact bool) expr.Expr {
+// compareError names a user's argument when one side is a `?`.
+func compareError(l, r expr.Expr) error {
+	if p, ok := r.(*expr.Param); ok && !p.Lifted {
+		l, r = r, l
+	}
+	if p, ok := l.(*expr.Param); ok && !p.Lifted {
+		return fmt.Errorf("opt: argument %d is %s, which cannot compare with %s (%s)", p.Index+1, p.T, r, r.Type())
+	}
+	return fmt.Errorf("opt: cannot compare %s (%s) with %s (%s)", l, l.Type(), r, r.Type())
+}
+
+// hint types e from its partner when e is an untyped NULL.
+func hint(e, partner expr.Expr) expr.Expr {
 	if t := partner.Type(); t.Valid() && e.Type() == sqltypes.Unknown {
 		switch n := e.(type) {
 		case *expr.Param:
-			return &expr.Param{Index: n.Index, T: t, Exact: exact}
+			return &expr.Param{Index: n.Index, T: t}
 		case *expr.Literal:
 			return &expr.Literal{T: t}
 		}

@@ -40,7 +40,8 @@ type Node interface {
 	// Nodes build their schema once and share it: callers must treat it
 	// as read-only.
 	Schema() *sqltypes.Schema
-	// Children returns input plans.
+	// Children returns input plans. Nodes are immutable, and the slice
+	// may be the node's own: callers must not modify it.
 	Children() []Node
 	// WithChildren rebuilds the node with new children (same arity).
 	WithChildren(children []Node) (Node, error)
@@ -109,11 +110,12 @@ type Project struct {
 	Exprs  []expr.Expr
 	Child  Node
 	schema *sqltypes.Schema
+	kids   [1]Node // Child, for Children
 }
 
 // NewProject builds a projection.
 func NewProject(exprs []expr.Expr, child Node) *Project {
-	p := &Project{Exprs: exprs, Child: child}
+	p := &Project{Exprs: exprs, Child: child, kids: [1]Node{child}}
 	p.computeSchema()
 	return p
 }
@@ -150,7 +152,7 @@ func OutputName(e expr.Expr, i int) string {
 func (p *Project) Schema() *sqltypes.Schema { return p.schema }
 
 // Children implements Node.
-func (p *Project) Children() []Node { return []Node{p.Child} }
+func (p *Project) Children() []Node { return p.kids[:] }
 
 // WithChildren implements Node.
 func (p *Project) WithChildren(c []Node) (Node, error) {
@@ -200,16 +202,19 @@ func (p *Project) String() string {
 type Filter struct {
 	Cond  expr.Expr
 	Child Node
+	kids  [1]Node // Child, for Children
 }
 
 // NewFilter builds a filter.
-func NewFilter(cond expr.Expr, child Node) *Filter { return &Filter{Cond: cond, Child: child} }
+func NewFilter(cond expr.Expr, child Node) *Filter {
+	return &Filter{Cond: cond, Child: child, kids: [1]Node{child}}
+}
 
 // Schema implements Node.
 func (f *Filter) Schema() *sqltypes.Schema { return f.Child.Schema() }
 
 // Children implements Node.
-func (f *Filter) Children() []Node { return []Node{f.Child} }
+func (f *Filter) Children() []Node { return f.kids[:] }
 
 // WithChildren implements Node.
 func (f *Filter) WithChildren(c []Node) (Node, error) {
@@ -258,11 +263,12 @@ type Join struct {
 	Left, Right Node
 	Cond        expr.Expr // nil = cross join
 	schema      *sqltypes.Schema
+	kids        [2]Node // Left and Right, for Children
 }
 
 // NewJoin builds a join node.
 func NewJoin(t JoinType, left, right Node, cond expr.Expr) *Join {
-	j := &Join{Type: t, Left: left, Right: right, Cond: cond}
+	j := &Join{Type: t, Left: left, Right: right, Cond: cond, kids: [2]Node{left, right}}
 	j.computeSchema()
 	return j
 }
@@ -288,7 +294,7 @@ func (j *Join) computeSchema() {
 func (j *Join) Schema() *sqltypes.Schema { return j.schema }
 
 // Children implements Node.
-func (j *Join) Children() []Node { return []Node{j.Left, j.Right} }
+func (j *Join) Children() []Node { return j.kids[:] }
 
 // WithChildren implements Node.
 func (j *Join) WithChildren(c []Node) (Node, error) {

@@ -325,3 +325,34 @@ func TestFriendsOfFriendsTopAgreesAcrossEngines(t *testing.T) {
 		}
 	}
 }
+
+// TestShortReadsHitPlanCache: after one warm-up round, SQ1-SQ7 run with
+// ids they have not seen compile nothing. A short read's literals are
+// lifted out of its plan, so every id shares its query's cached plans, on
+// both engines.
+func TestShortReadsHitPlanCache(t *testing.T) {
+	d := genSmall(t)
+	vanilla, indexed := loadBoth(t, d)
+	params := DefaultParams(d, 16)
+	for _, g := range []*Graph{vanilla, indexed} {
+		run := func(from, to int) {
+			for _, q := range Queries() {
+				for _, id := range params[q.ParamKind][from:to] {
+					if _, err := q.Run(g, id); err != nil {
+						t.Fatalf("%s(%d): %v", q.Name, id, err)
+					}
+				}
+			}
+		}
+		run(0, 8) // warm-up: posts and comments alike
+		hits0, misses0 := g.Sess.PlanCacheStats()
+		run(8, 16)
+		hits1, misses1 := g.Sess.PlanCacheStats()
+		if misses1 != misses0 {
+			t.Errorf("indexed=%v: fresh ids compiled %d plans (hits %d)", g.Indexed, misses1-misses0, hits1-hits0)
+		}
+		if hits1-hits0 < 8*int64(len(Queries())) {
+			t.Errorf("indexed=%v: %d plan-cache hits for %d queries", g.Indexed, hits1-hits0, 8*len(Queries()))
+		}
+	}
+}

@@ -239,11 +239,10 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-// FuzzNormalize guards the plan-cache key: Normalize must be idempotent,
-// and its output must parse exactly as the input did — a prepared
-// statement recompiles from the normalized text after a DDL purge, so a
-// lost or invented `?` would change its arity. `go test` runs the seeds;
-// `go test -fuzz FuzzNormalize` explores.
+// FuzzNormalize: Normalize must be idempotent, and its output must parse
+// exactly as the input did — a lost or invented `?` would change the
+// statement's arity. `go test` runs the seeds; `go test -fuzz
+// FuzzNormalize` explores.
 func FuzzNormalize(f *testing.F) {
 	for _, seed := range []string{
 		"SELECT id FROM person WHERE id = ? AND age >= ?",

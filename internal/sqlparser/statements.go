@@ -160,11 +160,13 @@ func ParseStatement(query string, resolve Resolver) (*Statement, error) {
 	}
 }
 
-// Normalize canonicalizes a statement's text for use as a plan-cache key:
-// it lexes the input and re-joins the tokens, collapsing whitespace and
-// comments and upper-casing keywords, so trivially different spellings of
-// one statement share a cache entry. Identifier case is preserved (the
-// catalog is case-sensitive) and string literals are re-quoted.
+// Normalize canonicalizes a statement's text: it lexes the input and
+// re-joins the tokens, collapsing whitespace and comments and upper-casing
+// keywords, so trivially different spellings of one statement read the
+// same. Identifier case is preserved (the catalog is case-sensitive) and
+// string literals are re-quoted. The engine keys its plan cache on plan
+// shape (plan.Shape), not on text; the benchmark's front-end probe times
+// Normalize with the parse.
 func Normalize(query string) (string, error) {
 	toks, err := lex(query)
 	if err != nil {

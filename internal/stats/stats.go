@@ -3,11 +3,11 @@
 // collected incrementally as rows are appended and exposed to the
 // planner through plan.Stats. Distinct counts use a HyperLogLog sketch
 // over sqltypes.Value.Hash64, so maintenance is O(1) per value with a
-// fixed 1 KiB footprint per column. Statistics are additive-only: an
-// append that fails part-way leaves rows visible that were never
-// observed, so it invalidates the table's statistics until the next
-// ANALYZE TABLE rebuild (the planner falls back to structural defaults
-// meanwhile).
+// fixed 1 KiB footprint per column. Statistics are additive-only, which
+// the store's append-only batches make exact: a batch that fails
+// publishes nothing, so every visible row was observed. ANALYZE TABLE
+// rebuilds them from a scan (and turns collection on for a table that
+// had none).
 package stats
 
 import (

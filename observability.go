@@ -171,7 +171,7 @@ func (s *Session) initObservability() {
 // created.
 type queryMeta struct {
 	sql      string
-	args     []sqltypes.Value // a prepared statement's arguments
+	args     []sqltypes.Value // the execution's arguments: the user's `?`s, then the lifted literals
 	parseNs  int64
 	planNs   int64
 	cacheHit bool

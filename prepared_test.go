@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"indexeddf/internal/sqltypes"
 )
 
 // newTwinSession builds the twin test's catalog: the 10k-row vanilla `t`
@@ -98,6 +100,11 @@ func TestPreparedTwinsMatchAdHoc(t *testing.T) {
 		{"hash join residual", "SELECT a.id, b.val FROM t a JOIN t b ON a.id = b.val AND a.val < b.id - %s", []any{60}, []string{"60"}, "HashJoin"},
 		{"outer hash join residual", "SELECT a.id, b.val FROM t a LEFT JOIN t b ON a.id = b.val AND a.val < b.id - %s", []any{60}, []string{"60"}, "HashJoin"},
 		{"nested-loop residual", "SELECT t.id, sm.id FROM t JOIN sm ON t.id < sm.val + %s", []any{5}, []string{"5"}, "NestedLoopJoin Inner on (t.id < (sm.val + ?1))"},
+		// A `?` has its argument's type, as a literal has its value's.
+		{"projection float", "SELECT id, val + %s FROM t", []any{1.5}, []string{"1.5"}, "VecProject [t.id, (t.val + ?1)]"},
+		{"sum of argument float", "SELECT SUM(%s) AS s FROM t", []any{1.5}, []string{"1.5"}, "SUM(?1)"},
+		{"sum of argument int", "SELECT SUM(%s) AS s FROM t", []any{2}, []string{"2"}, "SUM(?1)"},
+		{"bare argument", "SELECT id, %s FROM t", []any{7}, []string{"7"}, "VecProject [t.id, ?1]"},
 	}
 	run := func(t *testing.T, query func() (*Rows, error)) ([]Row, string) {
 		t.Helper()
@@ -147,50 +154,65 @@ func TestPreparedTwinsMatchAdHoc(t *testing.T) {
 	}
 }
 
-// TestPreparedPlaceholderTypeRules pins the two rules that keep a prepared
-// plan's schemas fixed across executions. A `?` in arithmetic whose type
-// reaches an output column takes its partner's type exactly, so a wider
-// argument fails instead of changing the column's type. And a SUM, MIN or
-// MAX whose argument holds an untyped `?` fails to prepare: its result
-// type would follow each execution's argument; a CAST types it.
+// TestPreparedPlaceholderTypeRules pins the rule that types a `?`: its
+// argument's type decides, with no hint from the expression around it. A
+// statement run with two argument-type tuples compiles two plan-cache
+// entries, each typed for its arguments, and each answers as the ad-hoc
+// query spelling its arguments as literals.
 func TestPreparedPlaceholderTypeRules(t *testing.T) {
 	s := newObsSession(t, Config{}, 0, 1_000)
 	ctx := context.Background()
-	for _, q := range []string{"SELECT id, val + ? FROM t", "SELECT val, SUM(id * ?) AS s FROM t GROUP BY val"} {
-		st, err := s.Prepare(q)
+	for _, q := range []string{
+		"SELECT id, val + %s FROM t",
+		"SELECT val, SUM(id * %s) AS s FROM t GROUP BY val",
+		"SELECT SUM(%s) AS s, MAX(%s) AS m FROM t",
+	} {
+		marks := strings.Count(q, "%s")
+		st, err := s.Prepare(fmt.Sprintf(q, repeat("?", marks)...))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := st.Collect(ctx, 1.5); err == nil || !strings.Contains(err.Error(), "argument 1 is DOUBLE, but ?1 takes BIGINT") {
-			t.Errorf("%s with 1.5: err = %v", q, err)
+		misses := 0
+		for _, c := range []struct {
+			arg  any
+			lit  string
+			want sqltypes.Type // the type of the result's last column
+		}{{2, "2", Int64}, {1.5, "1.5", Float64}, {3, "3", Int64}} {
+			_, m0 := s.PlanCacheStats()
+			rows, err := st.Query(ctx, repeat(c.arg, marks)...)
+			if err != nil {
+				t.Fatalf("%s with %v: %v", q, c.arg, err)
+			}
+			_, m1 := s.PlanCacheStats()
+			misses += int(m1 - m0)
+			schema := rows.Schema()
+			got, err := drainRows(rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if typ := schema.Field(schema.Len() - 1).Type; typ != c.want {
+				t.Errorf("%s with %v: last column is %s, want %s", q, c.arg, typ, c.want)
+			}
+			want, err := s.MustSQL(fmt.Sprintf(q, repeat(c.lit, marks)...)).Collect()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantSameRows(t, got, want, false)
 		}
-		if _, err := st.Collect(ctx, 2.0); err != nil {
-			t.Errorf("%s with 2.0 (exact in BIGINT): %v", q, err)
+		// BIGINT, then DOUBLE compile; the second BIGINT run hits.
+		if misses != 2 {
+			t.Errorf("%s: %d plan-cache misses over three runs, want 2 (one per type tuple)", q, misses)
 		}
 	}
-	for _, q := range []string{"SELECT SUM(?) AS s FROM t", "SELECT val, SUM(? + ?) AS s FROM t GROUP BY val", "SELECT MAX(?) AS m FROM t"} {
-		if _, err := s.Prepare(q); err == nil || !strings.Contains(err.Error(), "cannot determine the type of the placeholder") {
-			t.Errorf("Prepare(%s): err = %v", q, err)
-		}
+}
+
+// repeat returns n copies of x.
+func repeat[T any](x T, n int) []any {
+	out := make([]any, n)
+	for i := range out {
+		out[i] = x
 	}
-	st, err := s.Prepare("SELECT SUM(CAST(? AS DOUBLE)) AS s, COUNT(?) AS c FROM t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, arg := range []any{1.5, 2} {
-		got, err := st.Collect(ctx, arg, arg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := s.MustSQL(fmt.Sprintf("SELECT SUM(CAST(%v AS DOUBLE)) AS s, COUNT(%v) AS c FROM t", arg, arg))
-		wantRows, err := want.Collect()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fmt.Sprint(got) != fmt.Sprint(wantRows) {
-			t.Errorf("argument %v: prepared %v, ad hoc %v", arg, got, wantRows)
-		}
-	}
+	return out
 }
 
 // TestPreparedStmtConcurrentExecutions runs one Stmt from 8 goroutines ×

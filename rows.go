@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"indexeddf/internal/expr"
 	"indexeddf/internal/memory"
 	"indexeddf/internal/obs"
 	"indexeddf/internal/physical"
@@ -109,12 +110,13 @@ func (r *Rows) AnalyzeString() string {
 	return r.analyzePlan() + r.qs.String()
 }
 
-// analyzePlan renders the annotated operator tree only.
+// analyzePlan renders the annotated operator tree only, each lifted
+// literal printed as its value.
 func (r *Rows) analyzePlan() string {
 	if r.ec == nil || r.exec == nil {
 		return ""
 	}
-	return r.ec.AnalyzeString(r.exec)
+	return expr.FormatArgs(r.ec.AnalyzeString(r.exec), r.ec.Args)
 }
 
 // Row returns the current row (valid after a true Next).
@@ -272,7 +274,7 @@ func nativeValue(v sqltypes.Value) any {
 // queryExecMeta starts a compiled physical plan as a streaming cursor
 // under ctx, applying the session's QueryTimeout when the caller set no
 // deadline of its own. meta carries entry-point context (statement text,
-// a prepared statement's arguments, parse/plan timings, plan-cache
+// the execution's arguments, parse/plan timings, plan-cache
 // outcome) into the execution and the query's stats.
 func (s *Session) queryExecMeta(ctx context.Context, exec physical.Exec, meta queryMeta) (*Rows, error) {
 	if ctx == nil {
@@ -359,12 +361,19 @@ func (s *Session) queryExecMeta(ctx context.Context, exec physical.Exec, meta qu
 		remaining: limit, sess: s, qs: qs, ec: ec, exec: exec, start: time.Now()}, nil
 }
 
-// queryNode compiles a logical plan and starts it as a cursor.
-func (s *Session) queryNode(ctx context.Context, n plan.Node) (*Rows, error) {
+// run starts n as a cursor under ctx with the caller's `?` arguments user,
+// compiling it through the plan cache (prepare). A `?` left without an
+// argument fails here.
+func (s *Session) run(ctx context.Context, n plan.Node, user []sqltypes.Value, meta queryMeta) (*Rows, error) {
 	t0 := time.Now()
-	exec, inline, err := s.compile(n)
+	ent, args, hit, err := s.prepare(n, user)
 	if err != nil {
 		return nil, err
 	}
-	return s.queryExecMeta(ctx, exec, queryMeta{planNs: time.Since(t0).Nanoseconds(), inline: inline})
+	if len(user) < ent.numParams {
+		return nil, fmt.Errorf("indexeddf: unbound parameter ?%d (execute via a prepared statement)", len(user)+1)
+	}
+	meta.args, meta.cacheHit, meta.inline = args, hit, ent.inline
+	meta.planNs = time.Since(t0).Nanoseconds()
+	return s.queryExecMeta(ctx, ent.exec, meta)
 }

@@ -13,13 +13,13 @@
 package indexeddf
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
 
 	"indexeddf/internal/catalog"
 	"indexeddf/internal/core"
+	"indexeddf/internal/expr"
 	"indexeddf/internal/memory"
 	"indexeddf/internal/obs"
 	"indexeddf/internal/opt"
@@ -162,7 +162,7 @@ func newSession(cfg Config, ablate opt.Ablation) *Session {
 			Ablate:             ablate,
 		}),
 		views:  views,
-		plans:  newPlanCache(pool),
+		plans:  newPlanCache(),
 		tables: make(map[string]catalog.Table),
 	}
 	s.initObservability()
@@ -334,22 +334,62 @@ func (s *Session) anonName(prefix string) string {
 
 func (s *Session) frame(n plan.Node) *DataFrame { return &DataFrame{sess: s, node: n} }
 
-// compile runs the full Catalyst-style pipeline: analyze, optimize, plan.
-// inline reports whether the plan runs on the caller's goroutine
-// (runsInline).
-func (s *Session) compile(n plan.Node) (exec physical.Exec, inline bool, err error) {
+// shapes recycles plan-cache lookups: keying a plan allocates nothing
+// once its Shape's buffers have grown.
+var shapes = sync.Pool{New: func() any { return new(plan.Shape) }}
+
+// prepare is the session's one compile path: SQL, DataFrames, Stmt,
+// EXPLAIN and EXPLAIN ANALYZE all go through it. It keys n on its shape
+// and the types of its arguments (plan.Shape), so queries that differ only
+// in their literal values share one compiled plan, and it compiles only on
+// a miss. user are the caller's `?` arguments (fewer than the plan's `?`s
+// only to explain or type it); args is the execution's argument list: the
+// user's, then the literals lifted out of n.
+func (s *Session) prepare(n plan.Node, user []sqltypes.Value) (ent *planEntry, args []sqltypes.Value, hit bool, err error) {
+	sh := shapes.Get().(*plan.Shape)
+	defer shapes.Put(sh)
+	sh.Views = s.views
+	key := sh.Key(n, user)
+	args = sh.Args()
+	ent, gen, hit := s.plans.getGen(key)
+	if hit {
+		return ent, args, true, nil
+	}
+	if ent, err = s.compile(sh.Lift(n)); err != nil {
+		return nil, nil, false, liftedError{msg: expr.FormatArgs(err.Error(), args), err: err}
+	}
+	ent.numParams = sh.NumParams()
+	s.plans.putAt(string(key), ent, gen)
+	return ent, args, false, nil
+}
+
+// liftedError is a compile error whose message prints the lifted
+// literals' values, as the query spelled them.
+type liftedError struct {
+	msg string
+	err error
+}
+
+func (e liftedError) Error() string { return e.msg }
+func (e liftedError) Unwrap() error { return e.err }
+
+// compile runs the full Catalyst-style pipeline — analyze, optimize, plan
+// — for prepare's cache misses.
+func (s *Session) compile(n plan.Node) (*planEntry, error) {
 	analyzed, err := opt.Analyze(n)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	optimized, err := s.planner.Optimize(analyzed)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	if exec, err = s.planner.Plan(optimized); err != nil {
-		return nil, false, err
+	exec, err := s.planner.Plan(optimized)
+	if err != nil {
+		return nil, err
 	}
-	return exec, s.runsInline(exec), nil
+	return &planEntry{exec: exec, schema: exec.Schema(), analyzed: analyzed, optimized: optimized,
+		inline: s.runsInline(exec), tables: physical.ReferencedTables(exec)}, nil
 }
 
 // runsInline reports whether the session runs exec inline — every job of
@@ -357,20 +397,4 @@ func (s *Session) compile(n plan.Node) (exec physical.Exec, inline bool, err err
 // unless the NoInline ablation sends it back to the pool.
 func (s *Session) runsInline(exec physical.Exec) bool {
 	return !s.ablate.Has(opt.NoInline) && physical.IsPointPlan(exec)
-}
-
-// execute compiles and runs a plan to completion, returning all rows — a
-// thin wrapper over the streaming cursor path (queryNode + drain), kept as
-// the engine's batch entry point.
-func (s *Session) execute(n plan.Node) ([]sqltypes.Row, error) {
-	return s.executeCtx(context.Background(), n)
-}
-
-// executeCtx is execute under a cancellation context.
-func (s *Session) executeCtx(ctx context.Context, n plan.Node) ([]sqltypes.Row, error) {
-	rows, err := s.queryNode(ctx, n)
-	if err != nil {
-		return nil, err
-	}
-	return drainRows(rows)
 }

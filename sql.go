@@ -109,22 +109,15 @@ func (s *Session) MustSQL(query string) *DataFrame {
 	return df
 }
 
-// Query compiles a SQL statement and executes it as a streaming cursor
+// Query parses a SQL statement and executes it as a streaming cursor
 // under ctx — SQL + DataFrame.Query in one call, the shape a database
-// client expects. For repeated parameterized statements use Prepare, which
-// also skips compilation.
+// client expects. Its plan comes from the session's plan cache like every
+// query's; Prepare also skips the parse.
 func (s *Session) Query(ctx context.Context, query string) (*Rows, error) {
 	t0 := time.Now()
 	df, err := s.SQL(query)
 	if err != nil {
 		return nil, err
 	}
-	parseNs := time.Since(t0).Nanoseconds()
-	t1 := time.Now()
-	exec, inline, err := s.compile(df.node)
-	if err != nil {
-		return nil, err
-	}
-	return s.queryExecMeta(ctx, exec, queryMeta{
-		sql: query, parseNs: parseNs, planNs: time.Since(t1).Nanoseconds(), inline: inline})
+	return s.run(ctx, df.node, nil, queryMeta{sql: query, parseNs: time.Since(t0).Nanoseconds()})
 }

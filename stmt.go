@@ -5,117 +5,97 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"indexeddf/internal/memory"
 	"indexeddf/internal/physical"
+	"indexeddf/internal/plan"
 	"indexeddf/internal/sqlparser"
 	"indexeddf/internal/sqltypes"
 )
 
-// Stmt is a prepared SQL statement: parsed, analyzed, optimized and
-// physically planned once, with `?` placeholders bound per execution.
-// Repeated executions skip the whole compilation pipeline — for an indexed
-// point lookup that is most of the query's latency. A Stmt is safe for
-// concurrent use: the cached plan is never modified; each execution
-// carries its arguments, and every operator binds its own expressions as
-// it starts.
+// Stmt is a prepared SQL statement: parsed once, with `?` placeholders
+// bound per execution. Every query compiles through the session's plan
+// cache (Session.prepare), keyed on its plan's shape and the types of its
+// arguments, so a Stmt adds only the parse it saves: repeated executions
+// with arguments of the same types skip the parser and the whole
+// compilation pipeline. A Stmt is safe for concurrent use: the cached plan
+// is never modified; each execution carries its arguments, and every
+// operator binds its own expressions as it starts.
 //
-// The Stmt resolves its compiled plan through the session's plan cache on
-// every execution, so catalog DDL (which purges the cache) transparently
-// recompiles the statement against the current catalog: a statement over
-// a dropped-and-recreated table sees the new table, and one over a
-// dropped table fails with "table not found" instead of silently reading
-// the dropped table's old state.
+// Catalog DDL purges the plans it affects and makes the Stmt parse its
+// text again, so a statement over a dropped-and-recreated table sees the
+// new table, and one over a dropped table fails with "table not found"
+// instead of silently reading the dropped table's old state.
 type Stmt struct {
-	sess *Session
-	sql  string // normalized text (the plan-cache key)
+	sess   *Session
+	sql    string
+	parsed atomic.Pointer[parsedStmt]
 }
 
-// Prepare compiles a SELECT statement with optional `?` placeholders. The
-// compiled plan is cached in the session's bounded LRU plan cache keyed on
-// the normalized statement text, so preparing the same statement again —
-// from any goroutine — reuses the plan without touching the parser or the
-// optimizer.
+// parsedStmt is a Stmt's plan as parsed while the plan cache was at
+// generation gen.
+type parsedStmt struct {
+	node      plan.Node
+	numParams int
+	gen       int64
+}
+
+// Prepare parses a SELECT statement with optional `?` placeholders and
+// compiles it once with its arguments untyped, so a statement that cannot
+// compile fails here.
 func (s *Session) Prepare(query string) (*Stmt, error) {
-	key, err := sqlparser.Normalize(query)
+	st := &Stmt{sess: s, sql: query}
+	p, err := st.parse()
 	if err != nil {
 		return nil, err
 	}
-	if _, _, err := s.prepareEntry(key); err != nil {
+	if _, _, _, err := s.prepare(p.node, nil); err != nil {
 		return nil, err
 	}
-	return &Stmt{sess: s, sql: key}, nil
+	return st, nil
 }
 
-// prepareEntry returns the cached compiled plan for the normalized key
-// (hit reports whether the cache answered), compiling and caching it on a
-// miss. The normalized text is itself valid SQL, so recompilation after a
-// cache purge parses it directly. The insert is generation-guarded: if a
-// DDL purge lands while this compile is in flight, the freshly compiled
-// (now possibly stale) plan is returned to this caller but not cached, so
-// it cannot outlive the purge.
-func (s *Session) prepareEntry(key string) (ent *planEntry, hit bool, err error) {
-	ent, gen, ok := s.plans.getGen(key)
-	if ok {
-		return ent, true, nil
+// parse returns the statement's plan, parsing the text again after any
+// catalog DDL (which bumps the plan cache's generation).
+func (st *Stmt) parse() (*parsedStmt, error) {
+	gen := st.sess.plans.generation()
+	if p := st.parsed.Load(); p != nil && p.gen == gen {
+		return p, nil
 	}
-	stmt, err := sqlparser.ParseStatement(key, s.resolveTable)
+	stmt, err := sqlparser.ParseStatement(st.sql, st.sess.resolveTable)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if stmt.Kind != sqlparser.StmtSelect {
-		return nil, false, fmt.Errorf("indexeddf: only SELECT statements can be prepared")
+		return nil, fmt.Errorf("indexeddf: only SELECT statements can be prepared")
 	}
-	exec, inline, err := s.compile(stmt.Select)
-	if err != nil {
-		return nil, false, err
-	}
-	ent = &planEntry{exec: exec, schema: exec.Schema(), numParams: stmt.NumParams,
-		inline: inline, tables: physical.ReferencedTables(exec)}
-	s.plans.putAt(key, ent, gen)
-	return ent, false, nil
+	p := &parsedStmt{node: stmt.Select, numParams: stmt.NumParams, gen: gen}
+	st.parsed.Store(p)
+	return p, nil
 }
 
-// entry resolves the statement's current compiled plan.
-func (st *Stmt) entry() (*planEntry, error) {
-	ent, _, err := st.sess.prepareEntry(st.sql)
-	return ent, err
-}
-
-// SQLText returns the statement's normalized text.
+// SQLText returns the statement's text.
 func (st *Stmt) SQLText() string { return st.sql }
 
 // NumParams returns the number of `?` placeholders.
 func (st *Stmt) NumParams() int {
-	ent, err := st.entry()
+	p, err := st.parse()
 	if err != nil {
 		return 0
 	}
-	return ent.numParams
+	return p.numParams
 }
 
-// Schema returns the statement's result schema (nil if the statement no
-// longer compiles against the current catalog).
-func (st *Stmt) Schema() *sqltypes.Schema {
-	ent, err := st.entry()
-	if err != nil {
-		return nil
-	}
-	return ent.schema
-}
-
-// Query executes the prepared plan with args bound to its placeholders (in
-// lexical order) and returns a streaming cursor. The cached physical plan
-// runs as-is: the arguments travel with the execution.
+// Query executes the statement with args bound to its placeholders (in
+// lexical order) and returns a streaming cursor.
 func (st *Stmt) Query(ctx context.Context, args ...any) (*Rows, error) {
-	t0 := time.Now()
-	ent, hit, err := st.sess.prepareEntry(st.sql)
+	p, err := st.parse()
 	if err != nil {
 		return nil, err
 	}
-	if len(args) != ent.numParams {
-		return nil, fmt.Errorf("indexeddf: statement takes %d parameters, got %d", ent.numParams, len(args))
+	if len(args) != p.numParams {
+		return nil, fmt.Errorf("indexeddf: statement takes %d parameters, got %d", p.numParams, len(args))
 	}
 	vals := make([]sqltypes.Value, len(args))
 	for i, a := range args {
@@ -123,8 +103,7 @@ func (st *Stmt) Query(ctx context.Context, args ...any) (*Rows, error) {
 			return nil, fmt.Errorf("indexeddf: argument %d: %w", i+1, err)
 		}
 	}
-	return st.sess.queryExecMeta(ctx, ent.exec, queryMeta{
-		sql: st.sql, args: vals, cacheHit: hit, planNs: time.Since(t0).Nanoseconds(), inline: ent.inline})
+	return st.sess.run(ctx, p.node, vals, queryMeta{sql: st.sql})
 }
 
 // Collect executes the statement and materializes every row — Query plus a
@@ -180,10 +159,15 @@ func drainRows(rows *Rows) ([]sqltypes.Row, error) {
 // ---------------------------------------------------------------------------
 // Plan cache
 
-// planEntry is one compiled statement.
+// planEntry is one compiled plan.
 type planEntry struct {
-	exec      physical.Exec
-	schema    *sqltypes.Schema
+	exec   physical.Exec
+	schema *sqltypes.Schema
+	// analyzed and optimized are the logical plans exec was planned from
+	// (EXPLAIN renders them). They also keep every object the entry's key
+	// names by address reachable (plan.Shape).
+	analyzed, optimized plan.Node
+	// numParams is the number of `?` slots the plan takes.
 	numParams int
 	// inline marks a point plan run on the caller's goroutine
 	// (Session.runsInline).
@@ -193,63 +177,60 @@ type planEntry struct {
 	tables []string
 }
 
-// planCache is a bounded LRU of compiled statements keyed on normalized
-// SQL. Compiled plans bake in catalog handles, so catalog DDL must purge
-// them — but only the plans that reference the changed tables: entries
-// carry their referenced-table set and DDL on one table leaves unrelated
-// prepared plans warm. The generation counter lets an in-flight compile
-// detect that any purge overtook it and skip caching the (possibly stale)
-// plan.
+// planCache is a bounded LRU of compiled plans keyed on plan shape and
+// argument types (plan.Shape). Compiled plans bake in catalog handles, so
+// catalog DDL must purge them — but only the plans that reference the
+// changed tables: entries carry their referenced-table set and DDL on one
+// table leaves unrelated plans warm. The generation counter lets an
+// in-flight compile detect that any purge overtook it and skip caching the
+// (possibly stale) plan, and tells a Stmt to parse its text again.
 type planCache struct {
 	mu      sync.Mutex
-	gen     int64      // bumped by purge
-	order   *list.List // front = most recently used; values are *planCacheItem
+	gen     atomic.Int64 // bumped by purge, under mu
+	order   *list.List   // front = most recently used; values are *planCacheItem
 	entries map[string]*list.Element
-	// pool charges cached plans to the engine's memory budget (a flat
-	// per-entry estimate); when the pool is saturated new plans are simply
-	// not cached — the statement still runs, it just recompiles next time.
-	pool *memory.Pool
 
 	hits, misses int64
 }
 
-// planCacheSize bounds the LRU in entries.
+// planCacheSize bounds the LRU in entries. The bound, not the engine's
+// memory budget, holds the cache: every query caches its plan, and a
+// charge per entry would leave the budget's queries less room.
 const planCacheSize = 128
-
-// planEntryBytes is the flat accounting estimate for one cached compiled
-// plan (operator tree, schemas, referenced-table metadata).
-const planEntryBytes = 32 << 10
 
 type planCacheItem struct {
 	key string
 	ent *planEntry
 }
 
-func newPlanCache(pool *memory.Pool) *planCache {
-	return &planCache{order: list.New(), entries: make(map[string]*list.Element), pool: pool}
+func newPlanCache() *planCache {
+	return &planCache{order: list.New(), entries: make(map[string]*list.Element)}
 }
 
 // getGen looks the key up, also returning the cache generation observed so
 // a later putAt can detect an intervening purge.
-func (c *planCache) getGen(key string) (*planEntry, int64, bool) {
+func (c *planCache) getGen(key []byte) (*planEntry, int64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
+	el, ok := c.entries[string(key)]
 	if !ok {
 		c.misses++
-		return nil, c.gen, false
+		return nil, c.gen.Load(), false
 	}
 	c.hits++
 	c.order.MoveToFront(el)
-	return el.Value.(*planCacheItem).ent, c.gen, true
+	return el.Value.(*planCacheItem).ent, c.gen.Load(), true
 }
+
+// generation returns the number of purges so far.
+func (c *planCache) generation() int64 { return c.gen.Load() }
 
 // putAt inserts ent unless the cache was purged since generation gen was
 // observed (the entry would then reference pre-purge catalog state).
 func (c *planCache) putAt(key string, ent *planEntry, gen int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.gen != gen {
+	if c.gen.Load() != gen {
 		return
 	}
 	if el, ok := c.entries[key]; ok {
@@ -257,15 +238,11 @@ func (c *planCache) putAt(key string, ent *planEntry, gen int64) {
 		c.order.MoveToFront(el)
 		return
 	}
-	if c.pool.ReserveBytes("session", "plan cache", planEntryBytes) != nil {
-		return // pool saturated: run uncached rather than fail the query
-	}
 	c.entries[key] = c.order.PushFront(&planCacheItem{key: key, ent: ent})
 	for c.order.Len() > planCacheSize {
 		last := c.order.Back()
 		c.order.Remove(last)
 		delete(c.entries, last.Value.(*planCacheItem).key)
-		c.pool.ReleaseBytes(planEntryBytes)
 	}
 }
 
@@ -284,7 +261,7 @@ func (c *planCache) purgeTables(names ...string) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.gen++
+	c.gen.Add(1)
 	var next *list.Element
 	for el := c.order.Front(); el != nil; el = next {
 		next = el.Next()
@@ -293,7 +270,6 @@ func (c *planCache) purgeTables(names ...string) {
 			if hit[t] {
 				c.order.Remove(el)
 				delete(c.entries, item.key)
-				c.pool.ReleaseBytes(planEntryBytes)
 				break
 			}
 		}
