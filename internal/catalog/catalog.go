@@ -207,12 +207,18 @@ func (t *ColumnTable) MemoryUsage() int64 {
 // IndexedTable — the paper's contribution, wrapped for the catalog
 
 // IndexedTable names a core.IndexedTable for the planner.
+//
+// Its statistics are a fold over the table's batch ranges, like a view's
+// accumulators: ColumnStats folds the rows published since the snapshot
+// the accumulator was last folded to, so they always describe exactly one
+// published version and the writer's path never touches them.
 type IndexedTable struct {
 	name string
 	core *core.IndexedTable
 
 	statsMu sync.Mutex
-	stats   *stats.Table // nil when statistics collection is off
+	stats   *stats.Table   // nil when statistics collection is off
+	statsAt *core.Snapshot // the snapshot stats is folded to; nil: none
 }
 
 // NewIndexedTable wraps a core table.
@@ -235,71 +241,54 @@ func (t *IndexedTable) Core() *core.IndexedTable { return t.core }
 // KeyColumn returns the indexed column ordinal.
 func (t *IndexedTable) KeyColumn() int { return t.core.KeyColumn() }
 
-// EnableStats starts incremental statistics collection by installing
-// an append hook on the core table, seeding the accumulator from
-// the current contents (usually empty — sessions enable stats at
-// CREATE time, before the first append).
+// EnableStats turns statistics collection on. The accumulator starts
+// empty; the first ColumnStats folds the table's rows into it.
 func (t *IndexedTable) EnableStats() {
-	st, created := t.ensureStats()
-	if created && t.core.RowCount() > 0 {
-		// Seed errors leave the accumulator invalidated, which reads as
-		// "no statistics" — the planner falls back to defaults.
-		_ = t.rebuildStats(st)
-	}
-}
-
-// ensureStats installs the accumulator and core hooks once.
-func (t *IndexedTable) ensureStats() (st *stats.Table, created bool) {
 	t.statsMu.Lock()
 	defer t.statsMu.Unlock()
 	if t.stats == nil {
 		t.stats = stats.NewTable(t.core.Schema().Len())
-		t.core.SetStatsHooks(&core.StatsHooks{OnAppend: t.stats.Observe})
-		created = true
 	}
-	return t.stats, created
 }
 
-// ColumnStats implements stats.Provider; nil when collection is off or
-// the last rebuild's scan failed.
+// ColumnStats implements stats.Provider: it folds the rows appended since
+// the last read and returns statistics of the current snapshot. Nil when
+// collection is off or the fold failed; the next read then folds from the
+// start.
 func (t *IndexedTable) ColumnStats() []*stats.ColumnStats {
 	t.statsMu.Lock()
-	st := t.stats
-	t.statsMu.Unlock()
-	return st.Snapshot()
-}
-
-// RebuildStats recomputes statistics from a snapshot scan of the table,
-// enabling collection if it was off (ANALYZE TABLE). Appends racing the
-// scan may be double counted; run ANALYZE at a write quiescent point for
-// exact figures.
-func (t *IndexedTable) RebuildStats() error {
-	st, _ := t.ensureStats()
-	return t.rebuildStats(st)
-}
-
-// rebuildStats resets st and folds in a full snapshot scan, observing
-// rows in chunks so a large table never materializes at once.
-func (t *IndexedTable) rebuildStats(st *stats.Table) error {
-	st.Rebuild(nil)
-	snap := t.core.Snapshot()
-	const chunk = 1024
-	buf := make([]sqltypes.Row, 0, chunk)
-	for p := 0; p < snap.NumPartitions(); p++ {
-		err := snap.ScanPartition(p, func(row sqltypes.Row) bool {
-			// ScanPartition reuses its decode buffer; copy before keeping.
-			buf = append(buf, append(sqltypes.Row(nil), row...))
-			if len(buf) == chunk {
-				st.Observe(buf)
-				buf = buf[:0]
-			}
-			return true
-		})
-		if err != nil {
-			st.Invalidate()
-			return err
-		}
+	defer t.statsMu.Unlock()
+	if t.stats == nil || t.foldStats() != nil {
+		return nil
 	}
-	st.Observe(buf)
+	return t.stats.Snapshot()
+}
+
+// RebuildStats recomputes statistics by folding the table from its first
+// row, enabling collection if it was off (ANALYZE TABLE).
+func (t *IndexedTable) RebuildStats() error {
+	t.statsMu.Lock()
+	defer t.statsMu.Unlock()
+	t.stats, t.statsAt = stats.NewTable(t.core.Schema().Len()), nil
+	return t.foldStats()
+}
+
+// foldStats folds the rows the current snapshot holds beyond statsAt into
+// the accumulator and advances statsAt to it. A failed fold resets both,
+// so no row is ever counted twice. The caller holds statsMu.
+func (t *IndexedTable) foldStats() error {
+	snap := t.core.Snapshot()
+	if snap == t.statsAt {
+		return nil
+	}
+	err := snap.ScanSince(t.statsAt, func(row sqltypes.Row) error {
+		t.stats.Observe([]sqltypes.Row{row})
+		return nil
+	})
+	if err != nil {
+		t.stats, t.statsAt = stats.NewTable(t.core.Schema().Len()), nil
+		return err
+	}
+	t.statsAt = snap
 	return nil
 }

@@ -126,6 +126,27 @@ func (s *Snapshot) ScanPartitionSince(prev *Snapshot, p int, fn func(sqltypes.Ro
 	return s.scanReused(from, p, nil, s.table.schema.Len(), fn)
 }
 
+// ScanSince streams every partition's rows that s holds beyond prev (nil:
+// every row), partition by partition, to fn, stopping at the first error
+// fn or the scan returns. The row is reused; decoded strings are copies,
+// so values may be kept.
+func (s *Snapshot) ScanSince(prev *Snapshot, fn func(sqltypes.Row) error) error {
+	for p := range s.ends {
+		var fnErr error
+		err := s.ScanPartitionSince(prev, p, func(row sqltypes.Row) bool {
+			fnErr = fn(row)
+			return fnErr == nil
+		})
+		if err == nil {
+			err = fnErr
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // ScanPartitionColumns iterates partition p decoding only the requested
 // columns (the row-store projection path).
 func (s *Snapshot) ScanPartitionColumns(p int, cols []int, fn func(sqltypes.Row) bool) error {

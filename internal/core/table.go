@@ -19,8 +19,10 @@
 // Because nothing is ever deleted or rewritten, the rows one snapshot
 // holds beyond an older one are exactly the records between the two
 // snapshots' end positions in each partition: ScanPartitionSince reads
-// that range straight from the row batches, which is all incremental
-// view maintenance needs as its delta.
+// that range straight from the row batches, and ScanSince reads it for
+// every partition: all a reader that keeps a fold over the table (an
+// incremental view, say) needs as its delta. Such folds run on the
+// reader's side; the writer's path knows nothing of them.
 package core
 
 import (
@@ -80,25 +82,6 @@ type IndexedTable struct {
 	// published is the commit point: the last batch's immutable Snapshot.
 	// Readers load it and never wait for the writer.
 	published atomic.Pointer[Snapshot]
-	hooks     atomic.Pointer[StatsHooks]
-}
-
-// StatsHooks lets the catalog maintain table statistics incrementally:
-// OnAppend is called with each appended row slice, after it is published.
-type StatsHooks struct {
-	OnAppend func(rows []sqltypes.Row)
-}
-
-// SetStatsHooks installs (or, with nil, removes) the statistics
-// maintenance hooks. Safe to call concurrently with appends; rows
-// applied before the hooks land are the caller's responsibility
-// (rebuild via a full scan).
-func (t *IndexedTable) SetStatsHooks(h *StatsHooks) { t.hooks.Store(h) }
-
-func (t *IndexedTable) statsAppend(rows []sqltypes.Row) {
-	if h := t.hooks.Load(); h != nil && h.OnAppend != nil {
-		h.OnAppend(rows)
-	}
 }
 
 // NewIndexedTable creates an empty IndexedTable indexed on schema column
@@ -188,13 +171,8 @@ func (t *IndexedTable) Append(rows []sqltypes.Row) error {
 		return err
 	}
 	t.mu.Lock()
-	err := t.commit(rows)
-	t.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	t.statsAppend(rows)
-	return nil
+	defer t.mu.Unlock()
+	return t.commit(rows)
 }
 
 // check reports why a row of the batch cannot be stored — wrong arity, a

@@ -38,7 +38,11 @@ type adaptConj struct {
 	idx      int // position in the planned predicate order
 	rowsIn   int64
 	rowsKept int64
-	wallNs   int64
+	// nsPerRow is the lowest per-row cost any one batch showed. A batch
+	// preempted or stalled by GC only ever reads high, so the minimum
+	// tracks the kernel's own cost where a running mean would let one
+	// stall set the order for the rest of the task.
+	nsPerRow float64
 }
 
 // rank scores a conjunct for ordering: expected cost per input row
@@ -49,12 +53,11 @@ func (c *adaptConj) rank() float64 {
 	if c.rowsIn == 0 {
 		return 1e18
 	}
-	costPerRow := float64(c.wallNs) / float64(c.rowsIn)
 	drop := 1 - float64(c.rowsKept)/float64(c.rowsIn)
 	if drop < 1e-6 {
 		drop = 1e-6
 	}
-	return costPerRow / drop
+	return c.nsPerRow / drop
 }
 
 type vecAdaptiveFilterIter struct {
@@ -137,7 +140,12 @@ func (it *vecAdaptiveFilterIter) Next() (*vector.Batch, error) {
 				return nil, err
 			}
 			it.sel = vector.SelectTrue(bools, it.sel[:0])
-			c.wallNs += time.Since(start).Nanoseconds()
+			if n := cur.Len(); n > 0 {
+				ns := float64(time.Since(start).Nanoseconds()) / float64(n)
+				if c.rowsIn == 0 || ns < c.nsPerRow {
+					c.nsPerRow = ns
+				}
+			}
 			c.rowsIn += int64(cur.Len())
 			c.rowsKept += int64(len(it.sel))
 			if len(it.sel) == 0 {

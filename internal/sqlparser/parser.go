@@ -500,14 +500,26 @@ func (p *parser) parseMultiplicative() (expr.Expr, error) {
 }
 
 func (p *parser) parseUnary() (expr.Expr, error) {
-	if p.accept(tkSymbol, "-") {
-		e, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return expr.NewArith(expr.Sub, expr.LitInt64(0), e), nil
+	if !p.accept(tkSymbol, "-") {
+		return p.parsePrimary()
 	}
-	return p.parsePrimary()
+	number := p.peek().kind == tkNumber
+	e, err := p.parseUnary()
+	if err != nil {
+		return nil, err
+	}
+	neg := expr.NewArith(expr.Sub, expr.LitInt64(0), e)
+	if !number {
+		return neg, nil
+	}
+	// A minus applied directly to a number is a negative literal, so the
+	// plan cache lifts it into a slot like any other literal. Its value is
+	// 0 - n's: -0.0 reads +0.0, as the subtraction evaluates it.
+	v, err := neg.Eval(nil)
+	if err != nil {
+		return nil, err
+	}
+	return expr.Lit(v), nil
 }
 
 func (p *parser) parsePrimary() (expr.Expr, error) {

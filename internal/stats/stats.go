@@ -1,13 +1,14 @@
 // Package stats maintains per-table and per-column statistics — row
 // counts, min/max bounds, null counts, and distinct-value sketches —
-// collected incrementally as rows are appended and exposed to the
-// planner through plan.Stats. Distinct counts use a HyperLogLog sketch
-// over sqltypes.Value.Hash64, so maintenance is O(1) per value with a
-// fixed 1 KiB footprint per column. Statistics are additive-only, which
-// the store's append-only batches make exact: a batch that fails
-// publishes nothing, so every visible row was observed. ANALYZE TABLE
-// rebuilds them from a scan (and turns collection on for a table that
-// had none).
+// as an insert-only fold over observed rows, exposed to the planner
+// through plan.Stats. Distinct counts use a HyperLogLog sketch over
+// sqltypes.Value.Hash64, so maintenance is O(1) per value with a fixed
+// 1 KiB footprint per column. Every aggregate here only grows, so the
+// rows can arrive in any order and in any slices: an indexed table
+// folds the batch range appended since its last fold when the planner
+// reads its statistics, a vanilla table observes each append, and
+// ANALYZE TABLE folds from the start (and turns collection on for a
+// table that had none).
 package stats
 
 import (
@@ -162,28 +163,27 @@ func (c *colAcc) observe(v sqltypes.Value) {
 }
 
 // Table accumulates statistics for one table. All methods are safe for
-// concurrent use. A Table starts valid and empty; Invalidate marks the
-// statistics unusable (Snapshot returns nil) until Rebuild.
+// concurrent use. A Table starts empty.
 type Table struct {
 	mu      sync.Mutex
 	rows    int64
 	cols    []colAcc
-	valid   bool
-	version int64 // bumped on every Observe/Invalidate/Rebuild
+	version int64 // bumped on every Observe/Rebuild
 	// snap is the last Snapshot, built at version snapAt; it is returned
 	// again while the version holds.
 	snap   []*ColumnStats
 	snapAt int64
 }
 
-// NewTable returns an empty, valid statistics accumulator for a table
-// with ncols columns.
+// NewTable returns an empty statistics accumulator for a table with
+// ncols columns.
 func NewTable(ncols int) *Table {
-	return &Table{cols: make([]colAcc, ncols), valid: true}
+	return &Table{cols: make([]colAcc, ncols)}
 }
 
-// Observe folds a slice of appended rows into the statistics. Rows
-// shorter than the column count only update their present columns.
+// Observe folds a slice of rows into the statistics without keeping the
+// slice or its rows. Rows shorter than the column count only update
+// their present columns.
 func (t *Table) Observe(rows []sqltypes.Row) {
 	if t == nil || len(rows) == 0 {
 		return
@@ -203,21 +203,8 @@ func (t *Table) Observe(rows []sqltypes.Row) {
 	}
 }
 
-// Invalidate marks the statistics stale; Snapshot returns nil until
-// the next Rebuild. Used when an append fails part-way: the rows that
-// landed cannot be observed after the fact.
-func (t *Table) Invalidate() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.valid = false
-	t.version++
-	t.mu.Unlock()
-}
-
 // Rebuild resets the accumulator and folds in a full scan of the
-// table, marking the statistics valid again.
+// table.
 func (t *Table) Rebuild(rows []sqltypes.Row) {
 	if t == nil {
 		return
@@ -227,20 +214,9 @@ func (t *Table) Rebuild(rows []sqltypes.Row) {
 		t.cols[i] = colAcc{}
 	}
 	t.rows = 0
-	t.valid = true
 	t.version++
 	t.mu.Unlock()
 	t.Observe(rows)
-}
-
-// Valid reports whether Snapshot would return usable statistics.
-func (t *Table) Valid() bool {
-	if t == nil {
-		return false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.valid
 }
 
 // Rows returns the number of rows observed since the last Rebuild.
@@ -264,8 +240,7 @@ func (t *Table) Version() int64 {
 	return t.version
 }
 
-// Snapshot returns per-column statistics, or nil when the accumulator
-// is stale (invalidated since the last Rebuild) or t is nil. The
+// Snapshot returns per-column statistics, or nil when t is nil. The
 // result is built once per version and shared: callers must not modify
 // the slice or its entries.
 func (t *Table) Snapshot() []*ColumnStats {
@@ -274,9 +249,6 @@ func (t *Table) Snapshot() []*ColumnStats {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.valid {
-		return nil
-	}
 	if t.snap != nil && t.snapAt == t.version {
 		return t.snap
 	}
@@ -303,8 +275,10 @@ func (t *Table) Snapshot() []*ColumnStats {
 }
 
 // Provider is implemented by catalog tables that maintain statistics.
-// A nil return means no statistics are available (collection disabled
-// or invalidated by a partially failed append).
+// ColumnStats describes the table as of the call: an indexed table folds
+// the rows appended since its previous call first. A nil return means no
+// statistics are available (collection disabled, or the fold failed; the
+// next call folds again from the start).
 type Provider interface {
 	ColumnStats() []*ColumnStats
 }

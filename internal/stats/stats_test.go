@@ -83,17 +83,6 @@ func TestTableInvalidateRebuild(t *testing.T) {
 	if tbl.Snapshot() == nil {
 		t.Fatal("snapshot nil after observe")
 	}
-	v := tbl.Version()
-	tbl.Invalidate()
-	if tbl.Snapshot() != nil {
-		t.Fatal("snapshot not nil after invalidate")
-	}
-	if tbl.Valid() {
-		t.Fatal("valid after invalidate")
-	}
-	if tbl.Version() == v {
-		t.Fatal("version not bumped by invalidate")
-	}
 	tbl.Rebuild(rows[:1])
 	cols := tbl.Snapshot()
 	if cols == nil || cols[0].Count != 1 {
@@ -105,7 +94,7 @@ func TestTableInvalidateRebuild(t *testing.T) {
 }
 
 // TestSnapshotMemo pins the per-version snapshot memo: repeated calls
-// share one slice, and every mutation — Observe, Invalidate, Rebuild —
+// share one slice, and every mutation — Observe, Rebuild —
 // is visible to the next call without touching snapshots already
 // handed out.
 func TestSnapshotMemo(t *testing.T) {
@@ -129,10 +118,6 @@ func TestSnapshotMemo(t *testing.T) {
 		t.Fatalf("observe changed an earlier snapshot: count %d max %v", first[0].Count, first[0].Max)
 	}
 
-	tbl.Invalidate()
-	if tbl.Snapshot() != nil {
-		t.Fatal("snapshot not nil after invalidate")
-	}
 	tbl.Rebuild([]sqltypes.Row{{sqltypes.NewInt64(7)}})
 	cols = tbl.Snapshot()
 	if cols == nil || cols[0].Count != 1 || cols[0].Min.I != 7 || cols[0].Max.I != 7 || cols[0].NDV != 1 {
@@ -186,9 +171,8 @@ func TestConcurrentObserveSnapshot(t *testing.T) {
 func TestNilTableSafe(t *testing.T) {
 	var tbl *Table
 	tbl.Observe([]sqltypes.Row{{sqltypes.NewInt64(1)}})
-	tbl.Invalidate()
 	tbl.Rebuild(nil)
-	if tbl.Snapshot() != nil || tbl.Valid() || tbl.Rows() != 0 || tbl.Version() != 0 {
+	if tbl.Snapshot() != nil || tbl.Rows() != 0 || tbl.Version() != 0 {
 		t.Fatal("nil Table methods must be no-ops")
 	}
 }

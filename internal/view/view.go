@@ -191,24 +191,14 @@ func (v *View) refreshLocked() error {
 // nil) into the accumulator state, reporting how many passed the filter.
 func (v *View) foldSince(prev, snap *core.Snapshot) (int64, error) {
 	var folded int64
-	for p := 0; p < snap.NumPartitions(); p++ {
-		var foldErr error
-		err := snap.ScanPartitionSince(prev, p, func(row sqltypes.Row) bool {
-			var ok bool
-			ok, foldErr = v.foldRow(row)
-			if ok {
-				folded++
-			}
-			return foldErr == nil
-		})
-		if err == nil {
-			err = foldErr
+	err := snap.ScanSince(prev, func(row sqltypes.Row) error {
+		ok, err := v.foldRow(row)
+		if ok {
+			folded++
 		}
-		if err != nil {
-			return folded, err
-		}
-	}
-	return folded, nil
+		return err
+	})
+	return folded, err
 }
 
 // foldRow folds one base row into its group, creating the group on first

@@ -3,6 +3,7 @@ package indexeddf
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -294,4 +295,48 @@ func sameRows(got, want []Row, ordered bool) bool {
 		return fmt.Sprint(got) == fmt.Sprint(want)
 	}
 	return fmt.Sprint(canonicalRows(got)) == fmt.Sprint(canonicalRows(want))
+}
+
+// TestCachedPlanNegativeLiteral: a minus applied to a number parses as a
+// negative literal, so `val > -5` then `val > -6` share one plan like
+// their positive twins, and answer as the subtraction `0 - n` does —
+// down to the sign of zero: -0.0 is +0.0, as 0 - 0.0 evaluates.
+func TestCachedPlanNegativeLiteral(t *testing.T) {
+	s := NewSession(Config{TablePartitions: 2})
+	df, err := s.CreateIndexedTable("t", bigSchema(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []Row
+	for i := 0; i < 20; i++ {
+		rows = append(rows, R(int64(i), int64(i-10)))
+	}
+	if _, err := df.AppendRowsSlice(rows); err != nil {
+		t.Fatal(err)
+	}
+	hits0, misses0 := s.PlanCacheStats()
+	got5 := collectSorted(t, s, "SELECT id FROM t WHERE val > -5")
+	got6 := collectSorted(t, s, "SELECT id FROM t WHERE val > -6")
+	if hits1, misses1 := s.PlanCacheStats(); misses1-misses0 != 1 || hits1-hits0 != 1 {
+		t.Fatalf("> -5 then > -6: %d misses and %d hits, want 1 and 1", misses1-misses0, hits1-hits0)
+	}
+	wantSameRows(t, got5, collectSorted(t, s, "SELECT id FROM t WHERE val > 0 - 5"), true)
+	wantSameRows(t, got6, collectSorted(t, s, "SELECT id FROM t WHERE val > 0 - 6"), true)
+	if len(got5) != 14 || len(got6) != 15 {
+		t.Fatalf("> -5 kept %d rows, > -6 kept %d, want 14 and 15", len(got5), len(got6))
+	}
+
+	// val is -7 for id 3: -7 * +0.0 is -0.0, -7 * -0.0 would be +0.0.
+	zero := func(q string) float64 {
+		t.Helper()
+		out := collectSorted(t, s, q)
+		if len(out) != 1 {
+			t.Fatalf("%s: %d rows, want 1", q, len(out))
+		}
+		return out[0][0].Float64Val()
+	}
+	lit, sub := zero("SELECT val * -0.0 FROM t WHERE id = 3"), zero("SELECT val * (0 - 0.0) FROM t WHERE id = 3")
+	if math.Signbit(lit) != math.Signbit(sub) {
+		t.Fatalf("val * -0.0 = %v, val * (0 - 0.0) = %v: -0.0 must read as 0 - 0.0", lit, sub)
+	}
 }

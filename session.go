@@ -225,12 +225,14 @@ func (s *Session) CreateIndexedTable(name string, schema *sqltypes.Schema, keyCo
 	return s.frame(plan.NewRelation(t, name)), nil
 }
 
-// AnalyzeTable recomputes a table's statistics from a full scan,
+// AnalyzeTable recomputes a table's statistics from a full scan — for an
+// indexed table, a fold from its first row to the current snapshot —
 // enabling collection for that table even when the NoStats ablation
 // turned automatic collection off (the planner still ignores the
-// result under that ablation). Appends keep collected statistics
-// current on their own: a batch that fails publishes nothing, so there
-// is nothing for ANALYZE to heal.
+// result under that ablation). Collected statistics stay current on
+// their own: an indexed table folds the batches appended since its last
+// fold when the planner reads them, and a vanilla table observes each
+// append, so there is nothing for ANALYZE to heal.
 func (s *Session) AnalyzeTable(name string) error {
 	s.mu.RLock()
 	t, ok := s.tables[name]
